@@ -64,7 +64,6 @@ from .runtime.policies import (
     OraclePolicy,
     SignificanceAgnostic,
     gtb_max_buffer,
-    make_policy,
 )
 from . import faults as _faults  # noqa: F401  (registers the faulty engine)
 from .experiment import ExperimentResult, ExperimentSpec, ResultSet, run
@@ -114,7 +113,6 @@ __all__ = [
     "LocalQueueHistory",
     "SignificanceAgnostic",
     "OraclePolicy",
-    "make_policy",
     # energy
     "MachineModel",
     "XEON_E5_2650",

@@ -1,7 +1,7 @@
 """``repro.cluster`` — the sharded multi-worker serving layer.
 
 One :class:`~repro.cluster.service.ClusterService` runs N serve shards
-(each a full :class:`~repro.serve.server.TaskService`), routes jobs by
+(each a full :class:`~repro.serve.TaskService`), routes jobs by
 consistent hash (:mod:`repro.cluster.hashring`), shares one logical
 approximate-result cache (:mod:`repro.cluster.cache`) and enforces
 cluster-wide lifetime energy budgets through chunked quota leases

@@ -13,7 +13,7 @@ shards read **through** to the owner.
   each behind its own lock (cross-shard read-throughs are the only
   contended path, and they contend per-partition, never globally).
 * :class:`CacheView` — the per-shard facade handed to each shard's
-  :class:`~repro.serve.server.TaskService` as its ``cache``.  It
+  :class:`~repro.serve.TaskService` as its ``cache``.  It
   duck-types ``ApproxResultCache`` (``get`` / ``get_degraded`` /
   ``put`` / ``stats``), so the serve layer's admission and settle paths
   run unchanged; routing happens underneath.

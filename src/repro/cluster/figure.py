@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from ..config import RuntimeConfig
 from ..harness.report import format_table
 from ..serve.figure import ISOLATION_TOLERANCE, percentile
-from ..serve.server import JobReport, JobRequest, TaskService
+from ..serve import JobReport, JobRequest, TaskService
 from .service import ClusterService, ClusterSpec
 
 __all__ = [

@@ -1,6 +1,6 @@
 """The cluster energy ledger: lifetime tenant budgets without a global lock.
 
-A single :class:`~repro.serve.server.TaskService` enforces a tenant's
+A single :class:`~repro.serve.TaskService` enforces a tenant's
 lifetime Joule budget trivially — one counter, one thread.  A sharded
 cluster cannot put that counter behind a per-job lock without serializing
 exactly the path sharding is supposed to parallelize.  The EXCESS line of

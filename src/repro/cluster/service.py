@@ -1,6 +1,6 @@
 """``ClusterService``: N serve shards behind one TaskService-shaped door.
 
-PR 5's :class:`~repro.serve.server.TaskService` multiplexes every tenant
+PR 5's :class:`~repro.serve.TaskService` multiplexes every tenant
 onto ONE shared scheduler behind a single service thread — the ROADMAP's
 measured ceiling (~1.1k jobs/s, p95 drifting).  The cluster keeps that
 core *unchanged* and multiplies it:
@@ -28,11 +28,12 @@ core *unchanged* and multiplies it:
   .retarget`), so lifetime budgets hold cluster-wide with no per-job
   global lock.
 
-The service implements :class:`~repro.serve.ServiceProtocol`
-(``submit`` / ``flush`` / ``pending_jobs`` / ``stats`` / ``close``) —
-the explicit contract :class:`~repro.serve.server.LocalGateway` and the
-TCP :class:`~repro.serve.server.ServeServer` are typed against — so a
-gateway fronts a whole cluster without changing a line of gateway code.
+The service implements the whole :class:`~repro.serve.ServiceProtocol`
+over the same :class:`~repro.serve.contract.ServiceBase` as
+``TaskService`` — the explicit contract
+:class:`~repro.serve.LocalGateway` and the TCP
+:class:`~repro.serve.ServeServer` are typed against — so a gateway
+fronts a whole cluster without changing a line of gateway code.
 
 Queue caps are per shard: a tenant with ``max_pending=64`` on a 4-shard
 cluster may hold up to 256 queued jobs cluster-wide, 64 on any one
@@ -47,11 +48,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from ..config import RuntimeConfig
-from ..obs import MetricsRegistry, SpanRecorder, obs_enabled, start_span
+from ..obs import start_span
 from ..registry import format_spec, parse_spec, register, resolve
-from ..runtime.errors import ConfigError, RegistryError, SchedulerError
-from ..serve.kernels import ServableKernel, get_servable
-from ..serve.server import JobReport, JobRequest, TaskService
+from ..runtime.errors import ConfigError, RegistryError
+from ..serve import (
+    DEFAULT_SERVE_CONFIG,
+    JobReport,
+    JobRequest,
+    TaskService,
+)
+from ..serve.contract import ServiceBase
 from ..serve.tenants import TenantSpec
 from .cache import ShardedResultCache
 from .hashring import DEFAULT_REPLICAS, HashRing, job_key
@@ -176,7 +182,7 @@ class ShardWorker:
         return f"<ShardWorker {self.index}>"
 
 
-class ClusterService:
+class ClusterService(ServiceBase):
     """N serve shards, one router, one cache, one ledger (module doc).
 
     Parameters
@@ -187,7 +193,7 @@ class ClusterService:
         cluster, its ``tenants`` field populates every shard.
     tenants:
         Extra tenant specs/instances, merged over ``config.tenants``
-        (same contract as :class:`~repro.serve.server.TaskService`).
+        (same contract as :class:`~repro.serve.TaskService`).
     cluster:
         Shape override: a :class:`ClusterSpec`, a ``"cluster:..."``
         spec string, or a bare shard count.  Falls back to
@@ -195,6 +201,8 @@ class ClusterService:
     max_batch / compute_quality:
         Forwarded to every shard's ``TaskService``.
     """
+
+    _kind = "cluster service"
 
     def __init__(
         self,
@@ -205,11 +213,7 @@ class ClusterService:
         max_batch: int = 8,
         compute_quality: bool = True,
     ) -> None:
-        self.config = (
-            config
-            if config is not None
-            else RuntimeConfig(policy="gtb-max", n_workers=16)
-        )
+        self.config = config if config is not None else DEFAULT_SERVE_CONFIG
         if cluster is None:
             cluster = self.config.build_cluster()
         self.spec = (
@@ -221,31 +225,14 @@ class ClusterService:
 
         # Resolve the tenant roster ONCE; every shard instantiates its
         # own TenantState from the same frozen specs.
-        specs: list[TenantSpec] = list(self.config.build_tenants())
-        for extra in tenants:
-            specs.append(
-                extra
-                if isinstance(extra, TenantSpec)
-                else resolve("tenant", extra)
-            )
-        if not specs:
-            from ..serve.tenants import make_standard_tenant
-
-            specs = [make_standard_tenant()]
-        names = [s.name for s in specs]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate tenant names in {names}")
+        specs = self._tenant_roster(self.config, tenants)
         self.tenant_specs: tuple[TenantSpec, ...] = tuple(specs)
 
         # One registry + recorder for the WHOLE cluster: per-thread
         # counter cells make shard threads write-concurrent, per-shard
         # gauges carry a ``shard`` label, so one scrape reconciles the
         # cluster-wide run.
-        self._metrics: MetricsRegistry | None = None
-        self._spans: SpanRecorder | None = None
-        if obs_enabled():
-            self._metrics = MetricsRegistry()
-            self._spans = SpanRecorder()
+        super().__init__()
 
         self.ring = HashRing(range(n), replicas=self.spec.replicas)
         self.cache = ShardedResultCache(
@@ -288,18 +275,9 @@ class ClusterService:
                 service.tenants[spec.name].attach_lease(lease)
             self.shards.append(ShardWorker(i, service))
 
-        self._kernels: dict[str, ServableKernel] = {}
-        self._rounds = 0
-        self._closed = False
         self.run_reports: list | None = None
 
     # -- routing ---------------------------------------------------------
-    def _kernel(self, name: str) -> ServableKernel:
-        kernel = self._kernels.get(name)
-        if kernel is None:
-            kernel = self._kernels[name] = get_servable(name)
-        return kernel
-
     def route(self, request: JobRequest) -> int:
         """The shard this request belongs to.
 
@@ -330,10 +308,6 @@ class ClusterService:
         return sum(w.service.pending_jobs for w in self.shards)
 
     @property
-    def rounds(self) -> int:
-        return self._rounds
-
-    @property
     def tenants(self) -> dict[str, list]:
         """Per-tenant shard states: ``{name: [state_shard0, ...]}``."""
         return {
@@ -343,39 +317,37 @@ class ClusterService:
             for spec in self.tenant_specs
         }
 
-    def _route_span(self, request: JobRequest):
-        """Open the routing span and thread it onto the request.
+    def _routed(self, request: JobRequest | dict, call) -> JobReport:
+        """Run ``call(service, request)`` on the request's owning shard
+        (consistent-hash routed, on that shard's thread), under a
+        ``cluster.route`` span.
 
         The shard's ``serve.job`` span parents under it, so one job
         submitted through the cluster yields a single tree:
         ``cluster.route`` → ``serve.job`` → ``runtime.group``.
         """
-        if self._spans is None:
-            return None
-        span = start_span(
-            "cluster.route",
-            trace_id=request.trace_id,
-            parent_id=request.parent_span,
-            tenant=request.tenant,
-            job=request.job_id,
-        )
-        request.trace_id = span.trace_id
-        request.parent_span = span.span_id
-        return span
-
-    def submit(self, request: JobRequest | dict) -> JobReport:
-        """Admit one job on its owning shard (consistent-hash routed)."""
-        if self._closed:
-            raise SchedulerError("cluster service is closed")
-        if isinstance(request, dict):
-            request = JobRequest.from_dict(request)
-        span = self._route_span(request)
+        request = self._coerce(request)
+        span = None
+        if self._spans is not None:
+            span = start_span(
+                "cluster.route",
+                trace_id=request.trace_id,
+                parent_id=request.parent_span,
+                tenant=request.tenant,
+                job=request.job_id,
+            )
+            request.trace_id = span.trace_id
+            request.parent_span = span.span_id
         shard = self.route(request)
         worker = self.shards[shard]
-        report = worker.call(worker.service.submit, request)
+        report = worker.call(call, worker.service, request)
         if span is not None:
             span.end(self._spans, shard=shard, status=report.status)
         return report
+
+    def submit(self, request: JobRequest | dict) -> JobReport:
+        """Admit one job on its owning shard (consistent-hash routed)."""
+        return self._routed(request, TaskService.submit)
 
     def submit_anytime(
         self, request: JobRequest | dict, *, on_round=None
@@ -387,25 +359,14 @@ class ClusterService:
         ledger is settled after, so cluster-wide budget enforcement and
         parity hold for the iterative shape too.
         """
-        if self._closed:
-            raise SchedulerError("cluster service is closed")
-        if isinstance(request, dict):
-            request = JobRequest.from_dict(request)
-        span = self._route_span(request)
-        shard = self.route(request)
-        worker = self.shards[shard]
 
-        def run() -> JobReport:
-            for state in worker.service.tenants.values():
+        def run(service: TaskService, request: JobRequest) -> JobReport:
+            for state in service.tenants.values():
                 state.replenish()
-            return worker.service.submit_anytime(
-                request, on_round=on_round
-            )
+            return service.submit_anytime(request, on_round=on_round)
 
-        report = worker.call(run)
+        report = self._routed(request, run)
         self.ledger.settle_all()
-        if span is not None:
-            span.end(self._spans, shard=shard, status=report.status)
         return report
 
     def _shard_round(self, worker: ShardWorker) -> list[JobReport]:
@@ -425,8 +386,7 @@ class ClusterService:
         Settles the ledger afterwards, so ``spent_j`` figures lag
         reality by at most one round.
         """
-        if self._closed:
-            raise SchedulerError("cluster service is closed")
+        self._check_open()
         futures = [
             w.begin(self._shard_round, w) for w in self.shards
         ]
@@ -504,16 +464,6 @@ class ClusterService:
         }
 
     # -- telemetry --------------------------------------------------------
-    @property
-    def metrics(self) -> MetricsRegistry | None:
-        """The cluster-wide registry (None when telemetry is off)."""
-        return self._metrics
-
-    @property
-    def span_recorder(self) -> SpanRecorder | None:
-        """The cluster-wide span sink (None when telemetry is off)."""
-        return self._spans
-
     def collect(self) -> None:
         """Refresh every sampled gauge: each shard's serve gauges plus
         the ledger's per-lease occupancy."""
@@ -530,24 +480,6 @@ class ClusterService:
             lease_gauge.labels(
                 lease["tenant"], str(lease["shard"])
             ).set(lease["remaining_j"])
-
-    def metrics_snapshot(self) -> dict:
-        """Stable-JSON snapshot of the cluster-wide registry."""
-        if self._metrics is None:
-            raise SchedulerError(
-                "telemetry is disabled on this cluster (REPRO_OBS=0)"
-            )
-        self.collect()
-        return self._metrics.to_dict()
-
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of the cluster-wide registry."""
-        if self._metrics is None:
-            raise SchedulerError(
-                "telemetry is disabled on this cluster (REPRO_OBS=0)"
-            )
-        self.collect()
-        return self._metrics.to_prometheus()
 
     @property
     def makespan_s(self) -> float:
@@ -576,13 +508,6 @@ class ClusterService:
             w.close_executor()
         self._closed = True
         return self.run_reports
-
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

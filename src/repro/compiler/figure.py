@@ -1,7 +1,7 @@
 """``fig-compile``: the compile tier's specialized-vs-interpreted figure.
 
 One identical job stream per servable kernel is served twice through
-:class:`~repro.serve.server.TaskService` — once interpreted
+:class:`~repro.serve.TaskService` — once interpreted
 (``compile="off"``), once specialized (``compile="specialize"``) — and
 the figure reports, per kernel, the jobs/s of both runs, the headline
 speedup, the logical task count versus the chunk tasks actually
@@ -20,7 +20,7 @@ import numpy as np
 
 from ..config import RuntimeConfig
 from ..harness.report import format_table
-from ..serve.server import JobReport, JobRequest, TaskService
+from ..serve import JobReport, JobRequest, TaskService
 
 __all__ = ["CompileFigData", "fig_compile"]
 

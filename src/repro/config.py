@@ -162,7 +162,7 @@ class RuntimeConfig:
         (``("premium:name='alice'", "free:name='bob',budget_j=2.0")``;
         the ``"tenant"`` registry family, see
         :mod:`repro.serve.tenants`).  Ignored by :class:`Scheduler`;
-        consumed by :class:`~repro.serve.server.TaskService` so one
+        consumed by :class:`~repro.serve.TaskService` so one
         serializable config describes a whole multi-tenant service.
     cluster:
         Optional serve-cluster shape for the sharded serving layer: a
@@ -194,7 +194,7 @@ class RuntimeConfig:
         cache compiled bodies LRU).  Validated at construction;
         consumed by :class:`~repro.runtime.scheduler.Scheduler`
         (``spawn_specialized``) and requested at admission by
-        :class:`~repro.serve.server.TaskService`.
+        :class:`~repro.serve.TaskService`.
     """
 
     policy: Any = "accurate"

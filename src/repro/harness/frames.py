@@ -53,7 +53,7 @@ class TraceFrame:
 
     @classmethod
     def from_reports(cls, reports: Iterable[Any]) -> "TraceFrame":
-        """Build from serve :class:`~repro.serve.server.JobReport`
+        """Build from serve :class:`~repro.serve.JobReport`
         objects (or anything exposing ``to_dict``)."""
         return cls.from_records(
             r.to_dict() if hasattr(r, "to_dict") else dict(r)

@@ -8,7 +8,6 @@ from .engine import (
     ExecutionBackend,
     SimulatedEngine,
     ThreadedEngine,
-    make_engine,
 )
 from .process_engine import ProcessPoolEngine
 from .errors import (
@@ -66,7 +65,6 @@ __all__ = [
     "ProcessPoolEngine",
     "AccountingCore",
     "build_run_report",
-    "make_engine",
     "RunReport",
     "GroupSummary",
     "ReproError",

@@ -37,7 +37,6 @@ from __future__ import annotations
 import abc
 import threading
 import time as _time
-import warnings
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -66,7 +65,6 @@ __all__ = [
     "SimulatedEngine",
     "ThreadedEngine",
     "sequential_engine",
-    "make_engine",
 ]
 
 
@@ -524,6 +522,10 @@ class ThreadedEngine(WallClockTicks, Engine):
                     self._tick_clamped_wait(self._IDLE_WAIT_S, self._now())
                 )
             self._accounting.merge_shards()
+            # A barrier whose predicate is already true never enters
+            # the wait loop; a tick that came due meanwhile is
+            # delivered here, against the fully merged trace.
+            self._maybe_tick(self._now())
         return self._now()
 
     def finish(self) -> tuple[ExecutionTrace, float]:
@@ -566,41 +568,4 @@ def sequential_engine(
     """Reference semantics: a one-worker :class:`SimulatedEngine`."""
     return SimulatedEngine(
         1, machine_model, cost_model, policy, on_task_finished, stall_handler
-    )
-
-
-def make_engine(
-    kind: str,
-    n_workers: int,
-    machine_model: "MachineModel",
-    cost_model: "CostModel",
-    policy: "Policy",
-    on_task_finished: Callable[[Task, float], None],
-    stall_handler: Callable[[], bool] | None = None,
-) -> Engine:
-    """Deprecated: engines now live in the ``"engine"`` registry; use
-    :class:`~repro.config.RuntimeConfig` / ``Scheduler(engine=...)``.
-
-    Kinds: ``simulated`` (default), ``threaded``, ``process``,
-    ``sequential`` (one simulated worker)."""
-    warnings.warn(
-        "make_engine() is deprecated; pass the engine spec to "
-        "Scheduler/RuntimeConfig or use repro.registry instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..registry import registry_for
-    from .errors import RegistryError
-
-    try:
-        factory = registry_for("engine").factory(kind)
-    except RegistryError as exc:
-        raise SchedulerError(f"unknown engine kind {kind!r}") from exc
-    return factory(
-        n_workers,
-        machine_model,
-        cost_model,
-        policy,
-        on_task_finished,
-        stall_handler,
     )

@@ -11,9 +11,6 @@ Policy                    Paper reference
 ========================  =====================================================
 """
 
-import warnings
-
-from ...registry import resolve
 from .agnostic import SignificanceAgnostic
 from .base import Policy, PolicyOverheads, resolve_drop
 from .gtb import GlobalTaskBuffering, gtb_max_buffer
@@ -30,22 +27,4 @@ __all__ = [
     "GroupHistory",
     "SignificanceAgnostic",
     "OraclePolicy",
-    "make_policy",
 ]
-
-
-def make_policy(spec: str, **kwargs) -> Policy:
-    """Deprecated: use :func:`repro.registry.resolve` (``"policy"``) or
-    pass the spec string straight to ``Runtime``/``Scheduler``.
-
-    Accepts: ``gtb`` (optionally ``buffer_size=``), ``gtb-max``, ``lqh``,
-    ``accurate``/``agnostic``, ``oracle``.  Unlike the old string
-    switch, unknown kwargs now raise instead of being silently dropped.
-    """
-    warnings.warn(
-        "make_policy() is deprecated; use repro.registry.resolve"
-        "('policy', spec) or pass the spec string to Runtime(policy=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve("policy", spec, **kwargs)

@@ -66,7 +66,6 @@ import os
 import pickle
 import sys
 import time as _time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as _wait
 from concurrent.futures.process import BrokenProcessPool
@@ -290,41 +289,7 @@ def _apply_update(task: Task, slot: _Slot, update: tuple) -> None:
         original[:] = payload[0]
 
 
-#: Non-zero while the registry factory below is on the stack; direct
-#: ``ProcessPoolEngine(...)`` construction outside it is deprecated.
-_from_registry = 0
-
-
 @register("engine", "process", "procpool", "processes")
-def _spec_process_engine(
-    n_workers: int,
-    machine_model: "MachineModel",
-    cost_model: "CostModel",
-    policy: "Policy",
-    on_task_finished: Callable[[Task, float], None],
-    stall_handler: Callable[[], bool] | None = None,
-    **kwargs: Any,
-) -> "ProcessPoolEngine":
-    """Registry factory behind the ``"process"`` engine spec strings
-    (``"process"``, ``"process:shm=true"``, ...) — the supported way to
-    build this engine; see :class:`ProcessPoolEngine` for the options.
-    """
-    global _from_registry
-    _from_registry += 1
-    try:
-        return ProcessPoolEngine(
-            n_workers,
-            machine_model,
-            cost_model,
-            policy,
-            on_task_finished,
-            stall_handler,
-            **kwargs,
-        )
-    finally:
-        _from_registry -= 1
-
-
 class ProcessPoolEngine(WallClockTicks, Engine):
     """Execute task bodies in a ``ProcessPoolExecutor``.
 
@@ -335,7 +300,7 @@ class ProcessPoolEngine(WallClockTicks, Engine):
     ``reuse_pool`` (default on) executes on the shared warm executor
     from :mod:`repro.runtime.pool` instead of building a private pool —
     which is what lets an :class:`~repro.experiment.ExperimentSpec`
-    sweep (or a long-lived :class:`~repro.serve.server.TaskService`)
+    sweep (or a long-lived :class:`~repro.serve.TaskService`)
     run many process-engine cells without paying pool startup per cell;
     ``pool_tag`` selects a *distinct* shared pool per tag, so
     co-resident engines (the serve cluster's shards) each keep their
@@ -344,9 +309,9 @@ class ProcessPoolEngine(WallClockTicks, Engine):
     data plane (:mod:`repro.runtime.memory`), with ``shm_min_bytes``
     keeping arrays below the threshold on the pickle path.
 
-    Construct through an engine spec string (``"process:shm=true"`` via
-    :class:`~repro.config.RuntimeConfig` or ``Scheduler(engine=...)``);
-    direct construction is deprecated.
+    Registered under the ``"process"`` engine spec strings
+    (``"process"``, ``"process:shm=true"``, ...), normally given via
+    :class:`~repro.config.RuntimeConfig` or ``Scheduler(engine=...)``.
     """
 
     #: Blocking-wait quantum while a barrier predicate is unsatisfied.
@@ -368,15 +333,6 @@ class ProcessPoolEngine(WallClockTicks, Engine):
         shm: bool = False,
         shm_min_bytes: int = 4096,
     ) -> None:
-        if not _from_registry:
-            warnings.warn(
-                "constructing ProcessPoolEngine(...) directly is "
-                "deprecated; use an engine spec string instead, e.g. "
-                'RuntimeConfig(engine="process:shm=true") or '
-                'Scheduler(engine="process")',
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if n_workers > machine_model.n_cores:
             raise SchedulerError(
                 f"{n_workers} workers exceed the machine's "
@@ -595,6 +551,9 @@ class ProcessPoolEngine(WallClockTicks, Engine):
                 raise SchedulerError(
                     f"process engine stalled at {description}"
                 )
+        # Same rule as the threaded engine: a due tick is delivered at
+        # barrier exit even when the wait loop never ran.
+        self._maybe_tick(self._now())
         if (
             self._exporter is not None
             and not self._pending

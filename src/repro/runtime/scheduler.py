@@ -18,7 +18,6 @@ A scheduler instance executes one program run and then yields a
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable
 
 from ..config import RuntimeConfig
@@ -84,7 +83,7 @@ class Scheduler:
 
     def __init__(
         self,
-        config: RuntimeConfig | Policy | None = None,
+        config: RuntimeConfig | None = None,
         n_workers: int | None = None,
         machine: MachineModel | str | None = None,
         cost_model: CostModel | str | None = None,
@@ -96,20 +95,10 @@ class Scheduler:
         metrics: Any = None,
     ) -> None:
         if config is not None and not isinstance(config, RuntimeConfig):
-            # Compat shim: the first parameter used to be the policy
-            # (``Scheduler(GlobalTaskBuffering(16), 8)``).
-            if policy is not None:
-                raise SchedulerError(
-                    "got two policies: a positional one (legacy) and "
-                    "policy=; pass a RuntimeConfig or policy=, not both"
-                )
-            warnings.warn(
-                "passing the policy as the first positional argument is "
-                "deprecated; use Scheduler(policy=...) or a RuntimeConfig",
-                DeprecationWarning,
-                stacklevel=2,
+            raise SchedulerError(
+                "Scheduler's first argument is a RuntimeConfig, got "
+                f"{type(config).__name__}; pass a policy as policy=..."
             )
-            policy, config = config, None
 
         cfg = config if config is not None else RuntimeConfig()
         overrides = {

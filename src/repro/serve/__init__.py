@@ -10,54 +10,30 @@ approximate-result cache that degrades answers instead of shedding them
 (:mod:`repro.serve.client`), and the two-tenant isolation figure
 (:func:`repro.serve.figure.fig_serve`).
 
+Module map of the service itself::
+
+    jobs       JobRequest / JobReport / StreamState / RoundResult
+    contract   ServiceProtocol (the whole contract) + ServiceBase
+    admission  one rejection ladder, stream lanes, tenant queues
+    rounds     one group executor: flush, settle, the anytime driver
+    service    TaskService = admission + rounds;  gateway: the front doors
+
 Importing this package registers the ``"tenant"`` and ``"servable"``
 registry families.
 """
 
-from typing import Any, Protocol, runtime_checkable
-
-
-@runtime_checkable
-class ServiceProtocol(Protocol):
-    """The structural contract every task service front-end implements.
-
-    Both the single-node :class:`TaskService` and the sharded
-    :class:`~repro.cluster.service.ClusterService` satisfy this
-    protocol, and the gateways (:class:`LocalGateway`,
-    :class:`ServeServer`) are typed against it rather than duck-typing
-    a concrete service — swapping a node for a cluster behind a
-    gateway is a constructor-argument change.
-
-    The protocol is ``runtime_checkable`` so wiring code can validate
-    a service object up front (``isinstance(svc, ServiceProtocol)``);
-    as with all runtime-checkable protocols, the check sees method
-    *presence*, not signatures.
-    """
-
-    def submit(self, request: Any) -> str:
-        """Queue one job; returns its job id."""
-        ...
-
-    def flush(self) -> list[Any]:
-        """Run every queued job to completion; returns their reports."""
-        ...
-
-    @property
-    def pending_jobs(self) -> int:
-        """Jobs admitted but not yet settled."""
-        ...
-
-    def stats(self) -> dict[str, Any]:
-        """Service-level counters (schema owned by the implementation)."""
-        ...
-
-    def close(self) -> None:
-        """Settle outstanding work and release resources (idempotent)."""
-        ...
-
-
 from .cache import ApproxResultCache, CacheEntry, CacheStats
 from .client import AsyncServeClient, ServeClient, ServeClientError
+from .contract import ServiceProtocol
+from .gateway import LocalGateway, ServeServer
+from .jobs import (
+    STREAM_MIN_RATIO,
+    STREAM_WINDOW,
+    JobReport,
+    JobRequest,
+    RoundResult,
+    StreamState,
+)
 from .kernels import (
     AnytimeServable,
     FluidanimateServable,
@@ -68,18 +44,7 @@ from .kernels import (
     get_servable,
     servable_names,
 )
-from .server import (
-    DEFAULT_SERVE_CONFIG,
-    STREAM_MIN_RATIO,
-    STREAM_WINDOW,
-    JobReport,
-    JobRequest,
-    LocalGateway,
-    RoundResult,
-    ServeServer,
-    StreamState,
-    TaskService,
-)
+from .service import DEFAULT_SERVE_CONFIG, TaskService
 from .tenants import TenantSpec, TenantState
 
 __all__ = [

@@ -3,7 +3,7 @@
 :class:`ServeClient` is a small blocking-socket client (scripts, CI
 smoke, examples); :class:`AsyncServeClient` is its asyncio twin for
 callers already living in an event loop.  Both speak the one-JSON-
-object-per-line protocol of :class:`~repro.serve.server.ServeServer`
+object-per-line protocol of :class:`~repro.serve.ServeServer`
 and raise :class:`ServeClientError` on transport or protocol errors —
 *rejections are not errors*: a 429/404 outcome comes back as a normal
 job dict with its ``status``/``code`` fields set.

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 from ..config import RuntimeConfig
 from ..harness.report import format_table
-from .server import JobReport, JobRequest, TaskService
+from .jobs import JobReport, JobRequest
+from .service import TaskService
 
 __all__ = ["percentile", "ServeFigData", "fig_serve"]
 

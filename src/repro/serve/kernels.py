@@ -1,4 +1,4 @@
-"""Servable kernels: the work a :class:`~repro.serve.server.TaskService`
+"""Servable kernels: the work a :class:`~repro.serve.TaskService`
 job can request.
 
 A served job names a *kernel* plus plain-JSON arguments; the kernel
@@ -159,7 +159,7 @@ class AnytimeServable(ServableKernel):
       per-round quality curve is scored against (a different artifact
       than the one-shot batch reference).
 
-    :meth:`~repro.serve.server.TaskService.submit_anytime` drives the
+    :meth:`~repro.serve.TaskService.submit_anytime` drives the
     loop and reports improving quality after every round.
     """
 

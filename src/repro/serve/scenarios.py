@@ -24,7 +24,8 @@ from typing import Callable
 from ..config import RuntimeConfig
 from ..harness.frames import TraceFrame
 from ..runtime.errors import ConfigError
-from .server import STREAM_MIN_RATIO, JobRequest, TaskService
+from .jobs import STREAM_MIN_RATIO, JobRequest
+from .service import TaskService
 from .tenants import TenantSpec
 
 __all__ = [

@@ -184,18 +184,17 @@ class TestSchedulerFrontDoor:
             assert rep.energy_j == baseline.energy_j
             assert rep.tasks_by_kind == baseline.tasks_by_kind
 
-    def test_legacy_positional_policy_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            sched = Scheduler(GlobalTaskBuffering(4), 2)
+    def test_positional_policy_rejected(self):
+        """The first positional parameter is the config; a policy
+        instance goes in by keyword."""
+        with pytest.raises(SchedulerError, match="policy="):
+            Scheduler(GlobalTaskBuffering(4), 2)
+        sched = Scheduler(policy=GlobalTaskBuffering(4), n_workers=2)
         assert isinstance(sched.policy, GlobalTaskBuffering)
-        rep = _run(sched)
-        baseline = _run(
-            Scheduler(policy=GlobalTaskBuffering(4), n_workers=2)
-        )
-        assert rep.energy_j == baseline.energy_j
+        assert _run(sched).n_workers == 2
 
     def test_positional_and_keyword_policy_conflict(self):
-        with pytest.raises(SchedulerError, match="two policies"):
+        with pytest.raises(SchedulerError, match="policy="):
             Scheduler(GlobalTaskBuffering(4), policy="lqh")
 
     def test_unknown_engine_rejected_as_scheduler_error(self):

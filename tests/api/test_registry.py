@@ -158,34 +158,3 @@ class TestResolve:
     def test_machine_spec_overrides(self):
         m = resolve("machine", "xeon:frequency_ghz=2.5")
         assert m.frequency_ghz == 2.5
-
-
-class TestMakePolicyShim:
-    """The deprecated string switch now routes through the registry."""
-
-    def test_warns_and_resolves(self):
-        from repro.runtime.policies import make_policy
-
-        with pytest.warns(DeprecationWarning):
-            p = make_policy("gtb", buffer_size=7)
-        assert p.buffer_size == 7
-
-    def test_unknown_kwargs_no_longer_discarded(self):
-        from repro.runtime.policies import make_policy
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                make_policy("lqh", buffer_size=3)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                make_policy("oracle", depth=2)
-
-    def test_make_engine_warns(self):
-        from repro.runtime.engine import make_engine
-        from repro.runtime.errors import SchedulerError
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SchedulerError):
-                make_engine(
-                    "quantum", 2, None, None, None, lambda t, now: None
-                )

@@ -413,7 +413,7 @@ class TestSchedulerIntegration:
 
 class TestServeIntegration:
     def _serve(self, compile_spec, jobs=4):
-        from repro.serve.server import TaskService
+        from repro.serve import TaskService
 
         cfg = RuntimeConfig(
             policy="gtb-max", n_workers=4, compile=compile_spec

@@ -56,7 +56,12 @@ def test_serve_pages_are_in_nav():
 def test_api_reference_covers_serve_modules():
     text = (REPO_ROOT / "docs" / "api" / "serve.md").read_text()
     for module in (
-        "repro.serve.server",
+        "repro.serve.contract",
+        "repro.serve.jobs",
+        "repro.serve.service",
+        "repro.serve.admission",
+        "repro.serve.rounds",
+        "repro.serve.gateway",
         "repro.serve.tenants",
         "repro.serve.cache",
         "repro.serve.kernels",

@@ -31,7 +31,7 @@ class TestConstruction:
         assert f.columns == ["a", "b"]
 
     def test_from_reports_uses_to_dict(self):
-        from repro.serve.server import JobReport
+        from repro.serve import JobReport
 
         f = TraceFrame.from_reports(
             [JobReport(job_id="j", tenant="t", kernel="k")]

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.runtime.policies import (
-    OraclePolicy,
-    SignificanceAgnostic,
-    make_policy,
-)
+from repro.registry import resolve
+from repro.runtime.policies import OraclePolicy, SignificanceAgnostic
 from repro.runtime.task import ExecutionKind
 
 from ..conftest import make_scheduler, spawn_n
@@ -62,9 +59,8 @@ class TestOracle:
         assert accurate == {6, 7}
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestMakePolicy:
-    """The deprecated shim keeps resolving every historical spec."""
+    """The registry resolves every historical policy spec."""
 
     @pytest.mark.parametrize("spec,cls_name", [
         ("gtb", "GlobalTaskBuffering"),
@@ -75,22 +71,22 @@ class TestMakePolicy:
         ("oracle", "OraclePolicy"),
     ])
     def test_specs(self, spec, cls_name):
-        assert type(make_policy(spec)).__name__ == cls_name
+        assert type(resolve("policy", spec)).__name__ == cls_name
 
     def test_gtb_kwargs(self):
-        p = make_policy("gtb", buffer_size=7)
+        p = resolve("policy", "gtb", buffer_size=7)
         assert p.buffer_size == 7
 
     def test_gtb_max_has_no_buffer_limit(self):
-        assert make_policy("gtb-max").buffer_size is None
+        assert resolve("policy", "gtb-max").buffer_size is None
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
-            make_policy("magic")
+            resolve("policy", "magic")
 
     def test_unattached_policy_raises(self):
         from repro.runtime.errors import PolicyError
 
-        p = make_policy("lqh")
+        p = resolve("policy", "lqh")
         with pytest.raises(PolicyError):
             _ = p.scheduler

@@ -255,7 +255,7 @@ class TestDctPlan:
 
     def test_served_end_to_end(self):
         from repro.config import RuntimeConfig
-        from repro.serve.server import TaskService
+        from repro.serve import TaskService
 
         cfg = RuntimeConfig(policy="gtb-max", n_workers=4)
         with TaskService(cfg) as svc:
@@ -338,7 +338,7 @@ class TestFluidanimatePlan:
 
     def test_served_end_to_end(self):
         from repro.config import RuntimeConfig
-        from repro.serve.server import TaskService
+        from repro.serve import TaskService
 
         cfg = RuntimeConfig(policy="gtb-max", n_workers=4)
         with TaskService(cfg) as svc:

@@ -214,25 +214,62 @@ class TestBackends:
                 )
 
 
+#: Every member of the contract; the first group are properties.
+PROTOCOL_PROPERTIES = ("pending_jobs", "rounds", "metrics", "span_recorder")
+PROTOCOL_METHODS = (
+    "submit", "submit_anytime", "flush", "stats", "collect",
+    "metrics_snapshot", "metrics_text", "close",
+)
+
+
+def _fake_service(missing: str | None = None):
+    """An object with every protocol member except ``missing``."""
+    members = {
+        name: property(lambda self: None) for name in PROTOCOL_PROPERTIES
+    }
+    members.update(
+        (name, lambda self, *args, **kwargs: None)
+        for name in PROTOCOL_METHODS
+    )
+    members.pop(missing, None)
+    return type("FakeService", (), members)()
+
+
 class TestServiceProtocol:
-    """The explicit service contract (submit/flush/pending_jobs/stats/
-    close) — both service implementations satisfy it, and gateways
+    """The explicit service contract — the *whole* surface the gateways
+    touch.  Both service implementations satisfy it, and gateways
     validate it up front instead of duck-typing."""
 
-    def test_task_service_implements_protocol(self):
+    def _assert_full_contract(self, service):
         from repro.serve import ServiceProtocol
 
+        assert isinstance(service, ServiceProtocol)
+        for name in PROTOCOL_PROPERTIES:
+            assert isinstance(getattr(type(service), name), property)
+        for name in PROTOCOL_METHODS:
+            assert callable(getattr(service, name))
+
+    def test_task_service_implements_protocol(self):
         svc = TaskService(_cfg(), tenants=("standard:name='t'",))
-        assert isinstance(svc, ServiceProtocol)
+        self._assert_full_contract(svc)
         svc.close()
 
     def test_cluster_service_implements_protocol(self):
         from repro.cluster.service import ClusterService
-        from repro.serve import ServiceProtocol
 
         cs = ClusterService(_cfg(workers=2), cluster=2)
-        assert isinstance(cs, ServiceProtocol)
+        self._assert_full_contract(cs)
         cs.close()
+
+    def test_protocol_has_no_member_the_tests_do_not_know(self):
+        from repro.serve import ServiceProtocol
+
+        declared = {
+            name
+            for name in vars(ServiceProtocol)
+            if not name.startswith("_")
+        }
+        assert declared == set(PROTOCOL_PROPERTIES + PROTOCOL_METHODS)
 
     def test_gateways_reject_non_services(self):
         from repro.runtime.errors import ConfigError
@@ -242,6 +279,24 @@ class TestServiceProtocol:
             LocalGateway(object())
         with pytest.raises(ConfigError, match="ServiceProtocol"):
             ServeServer(service=object())
+
+    @pytest.mark.parametrize(
+        "missing", ["submit_anytime", "metrics_snapshot"]
+    )
+    def test_gateways_reject_partial_services(self, missing):
+        """No optional capabilities: one missing member is a refusal,
+        the same object with it present is accepted."""
+        from repro.runtime.errors import ConfigError
+        from repro.serve import ServeServer
+
+        partial = _fake_service(missing)
+        with pytest.raises(ConfigError, match="ServiceProtocol"):
+            LocalGateway(partial)
+        with pytest.raises(ConfigError, match="ServiceProtocol"):
+            ServeServer(service=partial)
+        full = _fake_service()
+        assert LocalGateway(full).service is full
+        assert ServeServer(service=full).service is full
 
     def test_gateway_accepts_any_protocol_service(self):
         from repro.cluster.service import ClusterService

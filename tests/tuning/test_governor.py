@@ -8,6 +8,9 @@ significance-agnostic drop baseline at equal energy.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro import EnergyBudgetGovernor, RuntimeConfig, Scheduler
@@ -366,11 +369,16 @@ class TestWallClockBackends:
     and processes; tight tracking is a virtual-time-only promise."""
 
     def test_threaded_backend_ticks(self):
+        gov = _ObservedGovernor(budget_j=10.0, interval=0.002)
         sched = Scheduler(
-            policy="lqh",
-            n_workers=4,
-            engine="threaded",
-            governor="governor:budget_j=10.0,interval=0.002",
+            policy="lqh", n_workers=4, engine="threaded", governor=gov
+        )
+        # One task holds the barrier open until the master's wait loop
+        # has delivered a tick; the rest give that tick work to sample.
+        sched.spawn(
+            gov.ticked.wait,
+            _TICK_TIMEOUT_S,
+            cost=TaskCost(200000.0, 20000.0),
         )
         for i in range(200):
             sched.spawn(
@@ -381,8 +389,22 @@ class TestWallClockBackends:
             )
         sched.taskwait()
         report = sched.finish()
+        assert gov.ticked.is_set()
         assert sched.governor.ticks >= 1
-        assert report.tasks_total == 200
+        assert report.tasks_total == 201
+
+    def test_due_tick_delivered_at_barrier_exit(self):
+        """A barrier with nothing to wait for never enters the wait
+        loop; the tick that came due meanwhile must still fire."""
+        gov = _ObservedGovernor(budget_j=10.0, interval=0.002)
+        sched = Scheduler(
+            policy="lqh", n_workers=2, engine="threaded", governor=gov
+        )
+        # Waits for the 2 ms tick interval to elapse on the host clock.
+        time.sleep(0.005)
+        sched.taskwait()
+        assert gov.ticked.is_set()
+        sched.finish()
 
     def test_process_backend_ticks(self):
         sched = Scheduler(
@@ -401,6 +423,23 @@ class TestWallClockBackends:
         report = sched.finish()
         assert sched.governor.ticks >= 1
         assert report.tasks_total == 40
+
+
+#: Upper bound on how long the gate task waits for a tick (a failure
+#: mode, not a pacing device: a healthy run releases it within ~2 ms).
+_TICK_TIMEOUT_S = 30.0
+
+
+class _ObservedGovernor(EnergyBudgetGovernor):
+    """Sets an event once the engine has delivered a tick."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.ticked = threading.Event()
+
+    def on_tick(self, now):
+        super().on_tick(now)
+        self.ticked.set()
 
 
 def _slow_noop(*_args):
