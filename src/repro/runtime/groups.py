@@ -57,11 +57,9 @@ class GroupRecord:
     completed: int = 0
     #: Decision log, appended as tasks finish.
     decisions: list[_DecisionRecord] = field(default_factory=list)
-    #: Barrier epoch — bumped by each taskwait on this group; lets the
-    #: statistics distinguish phases (e.g. Fluidanimate's alternating
-    #: accurate/approximate timesteps).
-    epoch: int = 0
-    #: (decision-log mark, requested ratio in force) per closed epoch.
+    #: (decision-log mark, requested ratio in force) per closed epoch;
+    #: lets the statistics distinguish phases (e.g. Fluidanimate's
+    #: alternating accurate/approximate timesteps).
     _epoch_marks: list[tuple[int, float]] = field(default_factory=list)
 
     def set_ratio(self, ratio: float) -> None:
@@ -81,16 +79,26 @@ class GroupRecord:
             _DecisionRecord(task.tid, task.significance, task.decision)
         )
 
+    @property
+    def epoch(self) -> int:
+        """Barrier epochs closed so far (barriers that found no new
+        decision to close do not count)."""
+        return len(self._epoch_marks)
+
     def new_epoch(self) -> None:
         """Close the current barrier epoch (called by taskwait).
 
         Snapshots the ratio that was in force, so phase-structured
         programs (Jacobi's approximate warm-up, Fluidanimate's
         alternating timesteps) are judged per phase against the ratio
-        each phase actually requested.
+        each phase actually requested.  A barrier that finds no
+        decision since the previous mark closes nothing and stores
+        nothing: the statistics only ever read non-empty slices.
         """
-        self._epoch_marks.append((len(self.decisions), self.ratio))
-        self.epoch += 1
+        marks = self._epoch_marks
+        mark = len(self.decisions)
+        if mark > (marks[-1][0] if marks else 0):
+            marks.append((mark, self.ratio))
 
     # -- Table 2 statistics ----------------------------------------------
     def _epoch_slices(self) -> list[tuple[list[_DecisionRecord], float]]:
@@ -196,6 +204,10 @@ class GroupRegistry:
 
     def __init__(self) -> None:
         self._groups: dict[str, GroupRecord] = {}
+        #: Groups spawned into since their last barrier: the only ones
+        #: a global barrier has an epoch to close for.  Spawn-side
+        #: (master thread) state, like the spawn path that feeds it.
+        self._live: dict[str, GroupRecord] = {}
 
     def get(self, name: str | None, create: bool = True) -> GroupRecord:
         """Look up (and lazily create) the group for ``name``."""
@@ -207,6 +219,27 @@ class GroupRegistry:
             rec = GroupRecord(label)
             self._groups[label] = rec
         return rec
+
+    def spawning(self, name: str | None) -> GroupRecord:
+        """The group ``name`` for a spawn: :meth:`get`, plus the group
+        joins the live set the next barrier over it closes."""
+        rec = self.get(name)
+        self._live[rec.name] = rec
+        return rec
+
+    def close_epochs(self, name: str | None = None) -> int:
+        """Close the barrier epoch of group ``name`` — or, on a global
+        barrier (``None``), of every live group.  Returns the number of
+        groups visited, which is independent of how many groups the
+        registry holds."""
+        if name is not None:
+            self._live.pop(name, None)
+            self.get(name).new_epoch()
+            return 1
+        live, self._live = self._live, {}
+        for rec in live.values():
+            rec.new_epoch()
+        return len(live)
 
     def init_group(self, name: str, ratio: float = 1.0) -> GroupRecord:
         """Explicit ``tpc_init_group`` — create/configure a group ratio."""

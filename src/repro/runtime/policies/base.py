@@ -151,6 +151,15 @@ class Policy(abc.ABC):
         ``group is None`` means a global barrier (flush everything).
         """
 
+    def on_group_retired(self, group: str | None) -> None:
+        """The group is quiescent and will take no more tasks
+        (:meth:`Scheduler.retire_group`); drop any state kept for it.
+
+        Buffering policies need nothing here — a flushed buffer is
+        already gone; policies that learn per group across barriers
+        (LQH) release what they learnt.
+        """
+
     # -- online control surface --------------------------------------------
     def set_ratio(self, ratio: float, group: str | None = None) -> None:
         """Adjust the target accurate-task ratio while the run executes.

@@ -94,10 +94,11 @@ class GlobalTaskBuffering(Policy):
         count toward (and may exceed) the accurate quota; forced-0.0
         tasks never consume quota.
         """
-        buf = self._buffers.get(group)
+        # Pop, don't empty: a long-lived service spawns one group per
+        # job, and a global barrier walks every key still in here.
+        buf = self._buffers.pop(group, None)
         if not buf:
             return
-        self._buffers[group] = []
 
         ratio = self.scheduler.groups.get(group).ratio
         # Stable sort: ties keep spawn order, matching the deterministic

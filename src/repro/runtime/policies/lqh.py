@@ -132,6 +132,12 @@ class LocalQueueHistory(Policy):
             self._histories[worker][group] = hist
         return hist
 
+    def on_group_retired(self, group: str | None) -> None:
+        """Release every worker's history of a finished group (one
+        :class:`GroupHistory` per worker per served job otherwise)."""
+        for histories in self._histories:
+            histories.pop(group, None)
+
     # ------------------------------------------------------------------
     def decide(self, task: Task, worker: int) -> ExecutionKind:
         hist = self.history(worker, task.group)

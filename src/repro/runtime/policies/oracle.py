@@ -54,10 +54,9 @@ class OraclePolicy(Policy):
             self._stamp_and_issue(g)
 
     def _stamp_and_issue(self, group: str | None) -> None:
-        tasks = self._pending.get(group)
+        tasks = self._pending.pop(group, None)
         if not tasks:
             return
-        self._pending[group] = []
         ratio = self.scheduler.groups.get(group).ratio
         ordered = sorted(tasks, key=lambda t: t.significance, reverse=True)
         quota = math.ceil(ratio * len(ordered) - 1e-12)

@@ -151,6 +151,9 @@ class Scheduler:
         # lookup cache (task streams overwhelmingly repeat labels).
         # The cache is master-thread-only state: spawn() is its sole
         # user; worker-side callbacks go through the registry directly.
+        # A miss is also what marks the group live for the next barrier
+        # (GroupRegistry.spawning), so barriers that close epochs drop
+        # the entry.
         self._spawn_overhead_const = self.policy.spawn_overhead_const
         self._group_label: Any = _NO_GROUP
         self._group_rec = None
@@ -168,6 +171,7 @@ class Scheduler:
         self._m_completed = None
         self._m_issued = None
         self._m_barriers = None
+        self._m_barrier_groups = None
         self._obs_spawned_seen = 0
         self._obs_completed_seen = 0
         self._obs_issued_seen = 0
@@ -190,6 +194,13 @@ class Scheduler:
                 self._m_barriers = metrics.counter(
                     "repro_sched_barriers_total",
                     "taskwait barriers executed.",
+                )
+                self._m_barrier_groups = metrics.counter(
+                    "repro_sched_barrier_groups_total",
+                    "Task groups visited by taskwait barriers (per "
+                    "barrier: divide by repro_sched_barriers_total; a "
+                    "figure that grows with service age means barriers "
+                    "are paying for settled jobs).",
                 )
 
         self.policy.attach(self)
@@ -229,7 +240,7 @@ class Scheduler:
         """
         if label == self._group_label:
             return self._group_rec
-        rec = self.groups.get(label)
+        rec = self.groups.spawning(label)
         self._group_label = label
         self._group_rec = rec
         return rec
@@ -470,20 +481,23 @@ class Scheduler:
 
         self.engine.master_charge(self.policy.barrier_overhead(label))
         t = self.engine.run_until(predicate, desc)
+
+        # Barrier epochs delimit phases for the Table 2 statistics.  A
+        # global barrier closes only the groups spawned into since
+        # their last one, so its cost does not grow with the number of
+        # groups the run has ever created.
+        closed = 0
+        if on is None:
+            closed = self.groups.close_epochs(label)
+            self._group_label = _NO_GROUP
         if self._m_barriers is not None:
             self._m_barriers.inc()
-            self._obs_sync()
-
-        # Barrier epochs delimit phases for the Table 2 statistics.
-        if label is not None:
-            self.groups.get(label).new_epoch()
-        elif on is None:
-            for g in self.groups:
-                g.new_epoch()
+            self._obs_sync(closed)
         return t
 
-    def _obs_sync(self) -> None:
-        """Feed the task counters the deltas of the inline totals.
+    def _obs_sync(self, groups_closed: int) -> None:
+        """Feed the task counters the deltas of the inline totals, and
+        the barrier-groups counter the barrier's own visit count.
 
         Runs on the master thread after a barrier's ``run_until``
         returned, so ``_completed_total`` (worker-side writer) is
@@ -502,6 +516,8 @@ class Scheduler:
         if d:
             self._m_issued.inc(d)
             self._obs_issued_seen = self._issued_total
+        if groups_closed:
+            self._m_barrier_groups.inc(groups_closed)
 
     # ------------------------------------------------------------------
     # Controller-facing introspection (the governor's observation API)
@@ -540,6 +556,22 @@ class Scheduler:
                 "scheduler still holds every descriptor on .tasks"
             )
         return task_slab().release_many(tasks)
+
+    def retire_group(self, label: str | None) -> None:
+        """Declare that group ``label`` will take no more tasks.
+
+        The long-lived service path spawns one group per job; the
+        policy's per-group state (LQH's per-worker histograms) would
+        otherwise grow with every job ever served.  The group's record,
+        decision log and trace segments stay: they are the final
+        :class:`RunReport`.  Spawning into a retired group again is
+        legal and starts its policy state afresh.
+        """
+        if self.groups.get(label).outstanding:
+            raise SchedulerError(
+                f"cannot retire group {label!r}: it has outstanding tasks"
+            )
+        self.policy.on_group_retired(label)
 
     # ------------------------------------------------------------------
     # Policy-facing operations

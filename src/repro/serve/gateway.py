@@ -13,7 +13,9 @@ the contract once, at construction.
 
 from __future__ import annotations
 
+import asyncio
 import json
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from ..obs import start_span
@@ -24,14 +26,24 @@ from .service import TaskService
 
 __all__ = ["LocalGateway", "ServeServer"]
 
+#: Longest request line the TCP gateway frames (asyncio's own default
+#: stream limit, spelled out so the error frame can name it).
+MAX_LINE_BYTES = 2**16
+
 
 def _service_or_default(
     service: ServiceProtocol | None, kwargs: dict
 ) -> ServiceProtocol:
     """The service a gateway fronts: the one given — which must
-    implement the whole contract — or a fresh :class:`TaskService`."""
+    implement the whole contract — or a fresh :class:`TaskService`
+    built from ``kwargs`` (which mean nothing beside a given one)."""
     if service is None:
         return TaskService(**kwargs)
+    if kwargs:
+        raise TypeError(
+            f"unexpected keyword arguments {sorted(kwargs)}: service "
+            "keywords only build the default TaskService"
+        )
     if not isinstance(service, ServiceProtocol):
         raise ConfigError(
             f"{type(service).__name__} does not implement "
@@ -116,8 +128,16 @@ class ServeServer:
 
     All service state is touched from a single worker thread (the
     scheduler is not thread-safe); the event loop only parses frames
-    and parks submitters on futures.  Rounds form by batching whatever
-    arrived within ``batch_window_s``.
+    and parks submitters on futures.
+
+    Rounds are work-conserving: a round starts the moment a job is
+    queued and the service thread is free — there is no timer and no
+    batching knob.  Batches form by themselves, group-commit style,
+    from whatever was submitted while the previous round ran, so a
+    lone job pays no wait and a burst still shares rounds.
+
+    A request line longer than :data:`MAX_LINE_BYTES` (64 KiB) is
+    answered with one error frame and the connection is closed.
     """
 
     def __init__(
@@ -125,14 +145,11 @@ class ServeServer:
         service: ServiceProtocol | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        batch_window_s: float = 0.01,
         **service_kwargs,
     ) -> None:
         self.service = _service_or_default(service, service_kwargs)
         self.host = host
         self.port = port
-        self.batch_window_s = batch_window_s
         self._server = None
         self._flusher = None
         self._executor = None
@@ -142,15 +159,12 @@ class ServeServer:
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
-        import asyncio
-        from concurrent.futures import ThreadPoolExecutor
-
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
         self._wake = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=MAX_LINE_BYTES
         )
         sock = self._server.sockets[0].getsockname()
         self.host, self.port = sock[0], sock[1]
@@ -158,8 +172,6 @@ class ServeServer:
         return self.host, self.port
 
     async def close(self) -> None:
-        import asyncio
-
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -185,56 +197,73 @@ class ServeServer:
                 future.set_exception(exc)
 
     async def _call(self, fn, *args):
-        import asyncio
-
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._executor, fn, *args)
 
-    async def _flush_loop(self) -> None:
-        import asyncio
+    def _round_sync(self) -> tuple[list[JobReport], bool]:
+        """Worker-thread round: its reports, and whether jobs are still
+        queued behind it (``max_batch`` caps a round).  Like
+        :meth:`_submit_sync`, the snapshot is taken here because the
+        event loop must not read service state."""
+        reports = self.service.flush()
+        return reports, self.service.pending_jobs > 0
 
+    async def _flush_loop(self) -> None:
         while True:
             await self._wake.wait()
+            # Clear before the round: a job queued while it runs sets
+            # the event again and gets the next round.  Submits hop
+            # through the same one-thread executor, so every job
+            # submitted while a round runs is queued before the next
+            # one starts — that is where batches come from.
             self._wake.clear()
-            # Let a round's worth of submissions accumulate.
-            await asyncio.sleep(self.batch_window_s)
-            # Loop on flush()'s own emptiness signal: every touch of
-            # service state happens on the worker thread (submit may
-            # be mutating the queues concurrently with this loop).
-            while True:
-                try:
-                    reports = await self._call(self.service.flush)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    # A failing round (e.g. a broken process pool) must
-                    # not kill the flusher silently and wedge every
-                    # waiter: fail the parked submitters — their
-                    # dispatch coroutines turn this into error frames —
-                    # and keep serving.
-                    self._fail_pending(exc)
-                    break
-                if not reports:
-                    break
-                for report in reports:
-                    future = self._futures.pop(report.job_id, None)
-                    if future is not None and not future.done():
-                        future.set_result(report)
+            try:
+                reports, more = await self._call(self._round_sync)
+            except Exception as exc:
+                # A failing round (e.g. a broken process pool) must
+                # not kill the flusher silently and wedge every
+                # waiter: fail the parked submitters — their
+                # dispatch coroutines turn this into error frames —
+                # and keep serving.
+                self._fail_pending(exc)
+                continue
+            if more:
+                self._wake.set()
+            for report in reports:
+                future = self._futures.pop(report.job_id, None)
+                if future is not None and not future.done():
+                    future.set_result(report)
 
     # -- connection handling ----------------------------------------------
     async def _handle(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # readline() raises ValueError for a line over the
+                    # stream limit, after discarding part of it: the
+                    # rest of the stream cannot be re-framed, so answer
+                    # once and hang up.
+                    await self._send(
+                        writer,
+                        {
+                            "ok": False,
+                            "error": "request line exceeds "
+                            f"{MAX_LINE_BYTES} bytes",
+                        },
+                    )
+                    break
                 if not line:
                     break
-                response = await self._dispatch(line)
-                writer.write(
-                    (json.dumps(response) + "\n").encode("utf-8")
-                )
-                await writer.drain()
+                await self._send(writer, await self._dispatch(line))
         finally:
             writer.close()
+
+    @staticmethod
+    async def _send(writer, response: dict) -> None:
+        writer.write((json.dumps(response) + "\n").encode("utf-8"))
+        await writer.drain()
 
     def _submit_sync(self, request: JobRequest) -> tuple[JobReport, bool]:
         """Worker-thread submit returning a queued-ness snapshot.
@@ -251,8 +280,6 @@ class ServeServer:
         return report, report.status == "queued"
 
     async def _dispatch(self, line: bytes) -> dict:
-        import asyncio
-
         try:
             message = json.loads(line)
             op = message.get("op", "submit")
@@ -299,7 +326,7 @@ class ServeServer:
             # Register the waiter *before* the service sees the job:
             # the flusher may settle the round (and try to resolve the
             # future) before this coroutine gets scheduled again.
-            future = asyncio.get_event_loop().create_future()
+            future = asyncio.get_running_loop().create_future()
             self._futures[request.job_id] = future
             try:
                 report, queued = await self._call(

@@ -273,11 +273,13 @@ class RoundsMixin:
                         prof_by_kernel[name]
                     )
 
-        # Results are harvested: recycle the window's descriptors so a
-        # long-lived service does not grow one Task per executed job
-        # forever.
-        if not self._sched.retains_tasks:
-            for group in groups:
+        # Results are harvested: recycle the window's descriptors and
+        # retire the labels (each is used once) so a long-lived service
+        # grows neither one Task nor one policy entry per executed job.
+        recycle = not self._sched.retains_tasks
+        for group in groups:
+            self._sched.retire_group(group.label)
+            if recycle:
                 self._sched.release_tasks(group.tasks)
                 group.tasks = []
 

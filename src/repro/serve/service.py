@@ -89,11 +89,13 @@ class TaskService(AdmissionMixin, RoundsMixin, ServiceBase):
     shared scheduler still accumulates one task group and its trace
     segments per *executed* job for the run's lifetime (that is what
     makes the final :class:`~repro.runtime.stats.RunReport` and the
-    tagged Chrome trace possible).  A service therefore scales to
-    campaigns of many thousands of jobs, not to an unbounded daemon
-    lifetime — recycle the service (``close()`` + rebuild) between
-    campaigns; the cheap admission paths (cache hits, rejections)
-    allocate nothing per job.
+    tagged Chrome trace possible).  That is memory only: no round and
+    no barrier does work proportional to the jobs already settled
+    (barriers visit the round's own groups, policies keep nothing for
+    a settled label).  A service therefore scales to campaigns of many
+    thousands of jobs, not to an unbounded daemon lifetime — recycle
+    the service (``close()`` + rebuild) between campaigns; the cheap
+    admission paths (cache hits, rejections) allocate nothing per job.
     """
 
     def __init__(

@@ -22,7 +22,7 @@ def cluster_gateway():
         cluster=ClusterSpec(shards=3),
         max_batch=4,
     )
-    server = ServeServer(service, batch_window_s=0.002)
+    server = ServeServer(service)
     loop = asyncio.new_event_loop()
 
     def pump() -> None:

@@ -40,7 +40,7 @@ def soak_gateway():
         cluster=ClusterSpec(shards=3),
         max_batch=8,
     )
-    server = ServeServer(service, batch_window_s=0.002)
+    server = ServeServer(service)
     loop = asyncio.new_event_loop()
 
     def pump() -> None:

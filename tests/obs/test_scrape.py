@@ -23,7 +23,7 @@ def cluster_gateway():
         ),
         cluster=3,
     )
-    server = ServeServer(service, batch_window_s=0.002)
+    server = ServeServer(service)
     loop = asyncio.new_event_loop()
 
     def pump() -> None:

@@ -194,7 +194,7 @@ class TestRunTop:
             RuntimeConfig(policy="gtb-max", n_workers=4),
             tenants=("standard:name='acme'",),
         )
-        server = ServeServer(service, batch_window_s=0.002)
+        server = ServeServer(service)
         loop = asyncio.new_event_loop()
         thread = threading.Thread(
             target=lambda: (asyncio.set_event_loop(loop), loop.run_forever()),

@@ -27,7 +27,7 @@ def gateway():
         ),
         max_batch=4,
     )
-    server = ServeServer(service, batch_window_s=0.002)
+    server = ServeServer(service)
     loop = asyncio.new_event_loop()
 
     def pump() -> None:
@@ -166,6 +166,29 @@ class TestWireProtocol:
             sock.sendall(b'{"op": "ping"}\n')
             line = sock.makefile("rb").readline()
         assert json.loads(line) == {"ok": True, "pong": True}
+
+    def test_oversized_line_gets_one_error_frame_then_close(self, gateway):
+        import socket
+
+        from repro.serve.gateway import MAX_LINE_BYTES
+
+        host, port, _, _ = gateway
+        frame = b'{"op": "ping", "pad": "%s"}\n' % (b"x" * MAX_LINE_BYTES)
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(frame)
+            stream = sock.makefile("rb")
+            reply = json.loads(stream.readline())
+            assert reply["ok"] is False
+            assert str(MAX_LINE_BYTES) in reply["error"]
+            # The stream cannot be re-framed: the gateway hangs up
+            # (a reset, when it closed with our tail still unread).
+            try:
+                assert stream.readline() == b""
+            except ConnectionResetError:
+                pass
+        # ... and only that connection: the gateway keeps serving.
+        with ServeClient(host, port) as client:
+            assert client.ping()
 
 
 class TestJobShapesOverWire:
