@@ -1,8 +1,10 @@
 """``repro.bench`` — the performance-tracking subsystem.
 
-Measures scheduler throughput, spawn overhead and end-to-end cell
-latency; emits the machine-readable ``BENCH_runtime.json`` trajectory
-artifact; and gates CI on regressions against a committed baseline.
+Measures the runtime's own overhead (scheduler throughput, spawn
+cost, batched spawn, governor convergence, the zero-copy data plane);
+emits the machine-readable ``BENCH_runtime.json`` trajectory artifact;
+and gates CI on regressions against a committed baseline.  Serving,
+cluster and kernel costs are measured end to end by ``benchmarks/e2e``.
 Front doors: :func:`run_bench` (Python) and
 ``python -m repro.harness bench`` (CLI).
 """

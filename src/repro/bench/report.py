@@ -210,16 +210,14 @@ def compare_to_baseline(
     baseline: dict[str, Metric],
     tolerance: float = DEFAULT_TOLERANCE,
     label: str = "baseline",
-    gated_only_regressions: bool = True,
 ) -> BaselineComparison:
     """Compare current metrics against a baseline with a tolerance band.
 
     Every metric present in both sets is compared; a metric *regresses*
     when it is worse than the baseline by more than ``tolerance``
-    (fractional) *and* it is gated in the baseline (unless
-    ``gated_only_regressions`` is off, in which case every shared metric
-    can regress).  Metrics missing on either side are ignored — adding a
-    microbenchmark must not fail CI retroactively.
+    (fractional) *and* it is gated in the baseline.  Metrics missing on
+    either side are ignored — adding a microbenchmark must not fail CI
+    retroactively.
     """
     if tolerance < 0:
         raise ConfigError(f"tolerance must be >= 0, got {tolerance}")
@@ -235,7 +233,7 @@ def compare_to_baseline(
             speedup = base.value / max(cur.value, 1e-300)
         gated = base.gated
         too_slow = speedup < (1.0 - tolerance)
-        regressed = too_slow and (gated or not gated_only_regressions)
+        regressed = too_slow and gated
         rows.append(
             MetricComparison(
                 name=name,

@@ -6,9 +6,9 @@ consistent hash (:mod:`repro.cluster.hashring`), shares one logical
 approximate-result cache (:mod:`repro.cluster.cache`) and enforces
 cluster-wide lifetime energy budgets through chunked quota leases
 (:mod:`repro.cluster.ledger`).  ``fig-cluster``
-(:mod:`repro.cluster.figure`) is the acceptance figure; the
-``serve_cluster`` bench probe gates the scaling and ledger-parity
-claims in CI.
+(:mod:`repro.cluster.figure`) is the acceptance figure;
+``tests/cluster/test_cluster_figure.py`` asserts its scaling, ledger
+parity and isolation claims.
 """
 
 from .cache import CacheView, ShardedResultCache

@@ -6,9 +6,9 @@ The cluster's acceptance figure, three phases:
    Monte-Carlo jobs from two tenants) runs on 1, 4 and 8 shards; the
    cluster makespan is the *slowest shard's* engine clock.  On the
    simulated backend that clock is virtual seconds — deterministic and
-   host-independent — which is what lets the ``serve_cluster`` bench
-   probe gate ≥3x jobs/s at 4 shards and ≥5x at 8 without timing
-   repeats.
+   host-independent — which is what lets
+   ``tests/cluster/test_cluster_figure.py`` assert ≥3x jobs/s at 4
+   shards and ≥5x at 8 without timing repeats.
 2. **Ledger parity** — tenant A carries a ledger-accounted budget in
    every scaling run; its lifetime spend summed across all shards must
    match the single-shard figure within 2 % (the chunked lease/refill

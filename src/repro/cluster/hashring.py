@@ -35,7 +35,8 @@ __all__ = ["stable_hash", "job_key", "cache_key", "HashRing"]
 
 #: Virtual nodes per shard.  128 keeps the max/mean load skew of a
 #: handful of shards low enough that near-linear scaling survives
-#: routing (the ``serve_cluster`` probe gates the end result).
+#: routing (``tests/cluster/test_cluster_figure.py`` checks the end
+#: result).
 DEFAULT_REPLICAS = 128
 
 

@@ -66,12 +66,11 @@ SMOKE_ENGINES = ("simulated", "threaded")
 
 #: Default locations for the bench artifact and its baselines.  Gating
 #: baselines are per workload size: comparing a small run against
-#: full-size numbers would produce bogus verdicts (the end-to-end and
-#: throughput metrics differ by well over the tolerance across sizes).
+#: full-size numbers would produce bogus verdicts (the throughput and
+#: per-task metrics differ by well over the tolerance across sizes).
 BENCH_OUTPUT = "BENCH_runtime.json"
 BENCH_BASELINE = "benchmarks/baselines/bench_baseline.json"
 BENCH_BASELINE_SMALL = "benchmarks/baselines/bench_baseline_small.json"
-BENCH_SEED_BASELINE = "benchmarks/baselines/bench_seed.json"
 
 
 def _baseline_size_mismatch(path: Path, small: bool) -> bool:
@@ -108,20 +107,6 @@ def _run_bench(args) -> int:
                 "size-matched baseline or --no-baseline"
             )
         baselines["baseline"] = gate_path
-    seed = args.seed_baseline or (
-        BENCH_SEED_BASELINE if Path(BENCH_SEED_BASELINE).exists() else None
-    )
-    if seed:
-        seed_path = Path(seed)
-        if _baseline_size_mismatch(seed_path, small):
-            # Informational only -> warn instead of failing the run.
-            print(
-                f"note: seed reference {seed_path} was recorded at the "
-                "other workload size; skipping the seed comparison",
-                file=sys.stderr,
-            )
-        else:
-            baselines["seed"] = seed_path
 
     config = BenchConfig(
         small=small,
@@ -515,9 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="bench: restrict to one probe (repeatable; "
         "scheduler_throughput/spawn_overhead/spawn_many/"
-        "backend_matrix/end_to_end/governor_convergence/"
-        "serve_throughput/obs_overhead/compile_specialization/"
-        "serve_cluster/payload_bandwidth/sweep_pool/serve_scenarios)",
+        "governor_convergence/payload_bandwidth)",
     )
     parser.add_argument(
         "--baseline",
@@ -530,12 +513,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-baseline",
         action="store_true",
         help="bench: skip baseline gating even if a baseline exists",
-    )
-    parser.add_argument(
-        "--seed-baseline",
-        default=None,
-        help="bench: informational pre-PR reference report "
-        f"(default {BENCH_SEED_BASELINE} when present)",
     )
     parser.add_argument(
         "--tolerance",

@@ -15,8 +15,8 @@ The whole plane sits behind one switch.  :func:`obs_enabled` is
 consulted at *construction* time: components capture metric handles and
 span recorders when it is on and hold ``None`` otherwise, so a disabled
 system pays a single attribute test per instrumented site.  Default is
-**on** (the ``obs_overhead`` bench probe gates the cost at <5% of serve
-throughput); set the environment variable ``REPRO_OBS=0`` or call
+**on** (``benchmarks/e2e`` reports the cost as ``obs.off_speedup`` and
+``trace.overhead_frac``); set the environment variable ``REPRO_OBS=0`` or call
 :func:`set_obs_enabled` before building services to switch it off.
 """
 

@@ -26,8 +26,8 @@ Instrumented call sites sit behind the module-level enable switch (see
 :func:`obs_enabled` / :func:`set_obs_enabled` in :mod:`repro.obs`):
 components capture metric handles at construction when observability is
 on and keep ``None`` otherwise, so a disabled system pays one attribute
-test per site.  The ``obs_overhead`` bench probe gates the enabled-mode
-cost against the telemetry-off baseline.
+test per site.  ``benchmarks/e2e`` measures the enabled-mode cost
+against the telemetry-off baseline (``obs.off_speedup``).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ This module keeps one long-lived executor per distinct
 ``(max_workers, start_method)`` configuration and hands it out to every
 caller.  Pools are created lazily, never shut down between uses (the
 interpreter's ``concurrent.futures`` atexit hook joins them at exit),
-and evicted when broken so the next request gets a fresh one.  The
-``sweep_pool`` bench probe gates the resulting speedup.
+and evicted when broken so the next request gets a fresh one
+(``tests/runtime/test_pool_reuse.py`` pins the reuse).
 """
 
 from __future__ import annotations

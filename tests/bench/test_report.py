@@ -146,14 +146,6 @@ class TestCompare:
         )
         assert not cmp_.ok
 
-    def test_gated_only_off_gates_everything(self):
-        cmp_ = compare_to_baseline(
-            {"t": Metric(1.0, **HIGHER)},
-            {"t": Metric(100.0, **HIGHER)},
-            gated_only_regressions=False,
-        )
-        assert not cmp_.ok
-
     def test_disjoint_metrics_ignored(self):
         cmp_ = compare_to_baseline(
             {"new": Metric(1.0, gated=True, **HIGHER)},

@@ -79,6 +79,6 @@ def test_cluster_page_mentions_the_moving_parts():
         "HashRing",
         "EnergyLedger",
         "fig-cluster",
-        "serve_cluster",
+        "test_cluster_figure",
     ):
         assert anchor in text

@@ -79,6 +79,6 @@ def test_compiler_page_mentions_the_load_bearing_names():
         "SpecializedPlan",
         "specialize:profile=true",
         "fig-compile",
-        "compile_specialization",
+        "TestProfilerOverhead",
     ):
         assert anchor in text

@@ -84,7 +84,7 @@ def test_design_doc_has_obs_section():
         "MetricsRegistry",
         "SpanRecorder",
         "~overflow~",
-        "obs_overhead",
+        "obs.off_speedup",
         "trace_id",
     ):
         assert anchor in text
@@ -99,6 +99,6 @@ def test_page_mentions_the_moving_parts():
         "write_jsonl",
         "render_top",
         "repro.harness top",
-        "obs_overhead",
+        "obs.off_speedup",
     ):
         assert anchor in text

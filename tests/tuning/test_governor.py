@@ -419,6 +419,10 @@ class TestWallClockBackends:
             significance=lambda i: (i % 9 + 1) / 10,
             cost=TaskCost(200000.0, 20000.0),
         )
+        # Let the 10 ms tick interval elapse on the host clock, so a
+        # tick is due at barrier exit however fast a warm pool drains
+        # the batch.
+        time.sleep(0.02)
         sched.taskwait()
         report = sched.finish()
         assert sched.governor.ticks >= 1
