@@ -153,11 +153,12 @@ class IntervalSampler:
 
     The implementation is *incremental*: every engine records a
     segment at its finish time, so each segment known at sample time
-    lies wholly in ``[0, t]`` and is consumed exactly once via an
-    append-only cursor.  Per-tick cost is O(segments recorded since
-    the last sample), not O(total trace) — the governor's feedback
-    stays cheap even on long fine-grained runs, and on the threaded
-    engine it runs under the engine lock without stalling workers.
+    lies wholly in ``[0, t]`` and is consumed exactly once via a trace
+    position (:attr:`position`; a trace is never folded past it).
+    Per-tick cost is O(segments recorded since the last sample), not
+    O(total trace) — the governor's feedback stays cheap even on long
+    fine-grained runs, and on the threaded engine it runs under the
+    engine lock without stalling workers.
 
     Backends record busy intervals on their own timeline (virtual
     seconds on the simulated machine, wall seconds on the threaded and
@@ -198,6 +199,11 @@ class IntervalSampler:
     def last_t(self) -> float:
         """Time of the most recent sample (0 before the first)."""
         return self._last_t
+
+    @property
+    def position(self) -> int:
+        """Trace position of the first segment not yet sampled."""
+        return self._cursor
 
     @property
     def cumulative(self) -> EnergyReport:
@@ -262,11 +268,10 @@ class IntervalSampler:
         window = t - self._last_t
         busy = 0.0
         active_j = 0.0
-        segments = self.trace.segments
-        for seg in segments[self._cursor:]:
+        for seg in self.trace.since(self._cursor):
             busy += seg.duration
             active_j += self._active_j(seg.start, seg.end)
-        self._cursor = len(segments)
+        self._cursor = self.trace.position
 
         interval = EnergyReport(
             window_s=window,

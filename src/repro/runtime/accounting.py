@@ -311,13 +311,12 @@ class AccountingCore:
 
         busy_by_kind: dict[ExecutionKind, float] = {}
         tasks_by_kind: dict[ExecutionKind, int] = {}
-        segments = self.trace.segments
-        for seg in segments[self._snap_seg_cursor:]:
+        for seg in self.trace.since(self._snap_seg_cursor):
             busy_by_kind[seg.kind] = (
                 busy_by_kind.get(seg.kind, 0.0) + seg.duration
             )
             tasks_by_kind[seg.kind] = tasks_by_kind.get(seg.kind, 0) + 1
-        self._snap_seg_cursor = len(segments)
+        self._snap_seg_cursor = self.trace.position
 
         feedback = IntervalFeedback(
             index=self._snap_index,
@@ -331,6 +330,26 @@ class AccountingCore:
         )
         self._snap_index += 1
         return feedback
+
+    # -- bounded retention ---------------------------------------------------
+    def fold(self, keep: int) -> int:
+        """Fold all but the newest ``keep`` trace segments into the
+        trace's partial sums (:meth:`ExecutionTrace.fold`); returns how
+        many were folded.
+
+        Never folds a segment the feedback stream has not consumed yet,
+        and never folds once the run has DVFS epochs: their energy
+        integration (:func:`~repro.energy.dvfs.energy_with_epochs`)
+        replays every segment.
+        """
+        if self.dvfs_epochs:
+            return 0
+        through = self.trace.position - keep
+        if self._sampler is not None:
+            through = min(
+                through, self._sampler.position, self._snap_seg_cursor
+            )
+        return self.trace.fold(through)
 
 
 def build_run_report(
@@ -364,7 +383,7 @@ def build_run_report(
         energy = EnergyReport.from_trace(trace, machine, window_s=makespan)
     by_kind = trace.tasks_by_kind()
     # Dropped tasks produce no trace segment on engines that skip their
-    # (empty) bodies; count them from the groups' decision logs.
+    # (empty) bodies; count them from the groups' tallies.
     recorded_drops = by_kind[ExecutionKind.DROPPED]
     logged_drops = sum(g.dropped_count for g in groups)
     by_kind[ExecutionKind.DROPPED] = max(recorded_drops, logged_drops)

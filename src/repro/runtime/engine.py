@@ -329,6 +329,7 @@ class SimulatedEngine(Engine):
 
     def finish(self) -> tuple[ExecutionTrace, float]:
         self.machine.drain()
+        self.machine.detach()
         return self.machine.trace, self.machine.makespan
 
     @property
@@ -541,6 +542,9 @@ class ThreadedEngine(WallClockTicks, Engine):
         # Workers are parked/joined: one final merge catches segments
         # buffered after the last barrier's merge point.
         self._accounting.merge_shards()
+        # Nothing calls back any more; drop the references to the
+        # scheduler and governor that own this engine.
+        self.on_task_finished = self.stall_handler = self._tick_cb = None
         return self.trace, max(self.trace.makespan, self._now())
 
     @property

@@ -10,24 +10,31 @@ The paper's compiler lowers the first use of a group to
 ``tpc_init_group()``, which creates the runtime bookkeeping and conveys
 the per-group ratio; :class:`GroupRegistry` plays that role here.
 
-:class:`GroupRecord` also accumulates the decision log that feeds the
+:class:`GroupRecord` also keeps the tallies that feed the
 policy-accuracy evaluation (paper Table 2): achieved ratio versus
 requested ratio and the count of *significance inversions* — tasks that
 ran approximately even though a strictly less significant task of the
-same group ran accurately.
+same epoch ran accurately.  Those statistics are per barrier epoch, so
+a closed epoch is kept as one :class:`EpochTally`, never as a log of its
+tasks: a group's memory does not grow with the tasks it ran.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import GroupError, RatioError
 from .task import ExecutionKind, Task
 
-__all__ = ["GroupRecord", "GroupRegistry", "GLOBAL_GROUP"]
+__all__ = ["EpochTally", "GroupRecord", "GroupRegistry", "GLOBAL_GROUP"]
 
 #: Implicit group holding tasks spawned without a ``label()`` clause.
 GLOBAL_GROUP = "__global__"
+
+_ACCURATE = ExecutionKind.ACCURATE
+_APPROXIMATE = ExecutionKind.APPROXIMATE
 
 
 def _check_ratio(ratio: float) -> float:
@@ -36,16 +43,21 @@ def _check_ratio(ratio: float) -> float:
     return float(ratio)
 
 
+class EpochTally(NamedTuple):
+    """One barrier epoch of a group, as the Table 2 statistics see it."""
+
+    #: Tasks that completed in the epoch (any execution kind).
+    tasks: int
+    #: Of those, tasks that ran accurately.
+    accurate: int
+    #: Non-accurate tasks more significant than the epoch's least
+    #: significant accurate task.
+    inversions: int
+    #: The requested ratio in force when the epoch closed.
+    ratio: float
+
+
 @dataclass(slots=True)
-class _DecisionRecord:
-    """Immutable trace entry for one executed task."""
-
-    tid: int
-    significance: float
-    kind: ExecutionKind
-
-
-@dataclass
 class GroupRecord:
     """Runtime bookkeeping for one task group (``tpc_init_group``)."""
 
@@ -55,12 +67,21 @@ class GroupRecord:
     spawned: int = 0
     #: Tasks that completed (any execution kind).
     completed: int = 0
-    #: Decision log, appended as tasks finish.
-    decisions: list[_DecisionRecord] = field(default_factory=list)
-    #: (decision-log mark, requested ratio in force) per closed epoch;
-    #: lets the statistics distinguish phases (e.g. Fluidanimate's
-    #: alternating accurate/approximate timesteps).
-    _epoch_marks: list[tuple[int, float]] = field(default_factory=list)
+    accurate_count: int = 0
+    approx_count: int = 0
+    dropped_count: int = 0
+    #: One tally per closed barrier epoch; lets the statistics
+    #: distinguish phases (e.g. Fluidanimate's alternating
+    #: accurate/approximate timesteps).
+    _closed: list[EpochTally] = field(default_factory=list)
+    # The open epoch: its least significant accurate task, and the
+    # significances of its non-accurate tasks (which it needs to count
+    # inversions once that minimum is final).  Its task and accurate
+    # counts are the group totals minus the closed epochs' sums.
+    _open_min_accurate: float = math.inf
+    _open_inexact: list[float] = field(default_factory=list)
+    _closed_tasks: int = 0
+    _closed_accurate: int = 0
 
     def set_ratio(self, ratio: float) -> None:
         self.ratio = _check_ratio(ratio)
@@ -72,18 +93,39 @@ class GroupRecord:
         return self.spawned - self.completed
 
     def record(self, task: Task) -> None:
-        """Log a finished task's decision."""
-        assert task.decision is not None
+        """Tally a finished task's decision into the open epoch."""
+        kind = task.decision
+        assert kind is not None
         self.completed += 1
-        self.decisions.append(
-            _DecisionRecord(task.tid, task.significance, task.decision)
-        )
+        if kind is _ACCURATE:
+            self.accurate_count += 1
+            if task.significance < self._open_min_accurate:
+                self._open_min_accurate = task.significance
+            return
+        if kind is _APPROXIMATE:
+            self.approx_count += 1
+        else:
+            self.dropped_count += 1
+        self._open_inexact.append(task.significance)
 
     @property
     def epoch(self) -> int:
         """Barrier epochs closed so far (barriers that found no new
         decision to close do not count)."""
-        return len(self._epoch_marks)
+        return len(self._closed)
+
+    def _open_tally(self) -> EpochTally | None:
+        """The open epoch as a tally (``None`` when it has no task)."""
+        tasks = self.completed - self._closed_tasks
+        if not tasks:
+            return None
+        floor = self._open_min_accurate
+        return EpochTally(
+            tasks,
+            self.accurate_count - self._closed_accurate,
+            sum(1 for sig in self._open_inexact if sig > floor),
+            self.ratio,
+        )
 
     def new_epoch(self) -> None:
         """Close the current barrier epoch (called by taskwait).
@@ -92,52 +134,34 @@ class GroupRecord:
         programs (Jacobi's approximate warm-up, Fluidanimate's
         alternating timesteps) are judged per phase against the ratio
         each phase actually requested.  A barrier that finds no
-        decision since the previous mark closes nothing and stores
-        nothing: the statistics only ever read non-empty slices.
+        decision since the previous one closes nothing and stores
+        nothing.
         """
-        marks = self._epoch_marks
-        mark = len(self.decisions)
-        if mark > (marks[-1][0] if marks else 0):
-            marks.append((mark, self.ratio))
+        tally = self._open_tally()
+        if tally is None:
+            return
+        self._closed.append(tally)
+        self._closed_tasks = self.completed
+        self._closed_accurate = self.accurate_count
+        self._open_min_accurate = math.inf
+        self._open_inexact = []
 
     # -- Table 2 statistics ----------------------------------------------
-    def _epoch_slices(self) -> list[tuple[list[_DecisionRecord], float]]:
-        """(decision slice, requested ratio) per barrier epoch."""
-        slices: list[tuple[list[_DecisionRecord], float]] = []
-        start = 0
-        marks = list(self._epoch_marks)
-        if not marks or marks[-1][0] != len(self.decisions):
-            marks.append((len(self.decisions), self.ratio))
-        for mark, ratio in marks:
-            if mark > start:
-                slices.append((self.decisions[start:mark], ratio))
-            start = mark
-        return slices
-
-    @property
-    def accurate_count(self) -> int:
-        return sum(
-            1 for d in self.decisions if d.kind is ExecutionKind.ACCURATE
-        )
-
-    @property
-    def approx_count(self) -> int:
-        return sum(
-            1 for d in self.decisions if d.kind is ExecutionKind.APPROXIMATE
-        )
-
-    @property
-    def dropped_count(self) -> int:
-        return sum(
-            1 for d in self.decisions if d.kind is ExecutionKind.DROPPED
-        )
+    def epoch_tallies(self) -> list[EpochTally]:
+        """One tally per barrier epoch, the open one last if it has
+        tasks — the material every statistic below is computed from."""
+        tallies = list(self._closed)
+        tally = self._open_tally()
+        if tally is not None:
+            tallies.append(tally)
+        return tallies
 
     @property
     def achieved_ratio(self) -> float:
         """Fraction of completed tasks that ran accurately."""
-        if not self.decisions:
+        if not self.completed:
             return 1.0
-        return self.accurate_count / len(self.decisions)
+        return self.accurate_count / self.completed
 
     def ratio_offset(self, requested: float | None = None) -> float:
         """``|requested - achieved|`` per epoch, averaged (Table 2).
@@ -150,14 +174,16 @@ class GroupRecord:
         """
         if requested is not None:
             _check_ratio(requested)
-        slices = self._epoch_slices()
-        if not slices:
+        tallies = self.epoch_tallies()
+        if not tallies:
             return 0.0
-        offsets = []
-        for sl, epoch_ratio in slices:
-            req = epoch_ratio if requested is None else requested
-            acc = sum(1 for d in sl if d.kind is ExecutionKind.ACCURATE)
-            offsets.append(abs(req - acc / len(sl)))
+        offsets = [
+            abs(
+                (t.ratio if requested is None else requested)
+                - t.accurate / t.tasks
+            )
+            for t in tallies
+        ]
         return sum(offsets) / len(offsets)
 
     def inversion_count(self) -> int:
@@ -169,29 +195,13 @@ class GroupRecord:
         any approximated task whose significance exceeds the significance
         of some accurately-executed task witnesses an inversion.
         """
-        total = 0
-        for sl, _ratio in self._epoch_slices():
-            acc_sigs = sorted(
-                d.significance
-                for d in sl
-                if d.kind is ExecutionKind.ACCURATE
-            )
-            if not acc_sigs:
-                continue
-            min_acc = acc_sigs[0]
-            total += sum(
-                1
-                for d in sl
-                if d.kind is not ExecutionKind.ACCURATE
-                and d.significance > min_acc
-            )
-        return total
+        return sum(t.inversions for t in self.epoch_tallies())
 
     def inversion_pct(self) -> float:
         """Inversions as a percentage of completed tasks (Table 2)."""
-        if not self.decisions:
+        if not self.completed:
             return 0.0
-        return 100.0 * self.inversion_count() / len(self.decisions)
+        return 100.0 * self.inversion_count() / self.completed
 
 
 class GroupRegistry:
@@ -280,14 +290,14 @@ class GroupRegistry:
     # -- aggregate Table 2 metrics ---------------------------------------
     def mean_ratio_offset(self) -> float:
         """Average ratio offset over groups (the paper's ``ratio_diff``)."""
-        groups = [g for g in self._groups.values() if g.decisions]
+        groups = [g for g in self._groups.values() if g.completed]
         if not groups:
             return 0.0
         return sum(g.ratio_offset() for g in groups) / len(groups)
 
     def total_inversion_pct(self) -> float:
         """Significance-inverted tasks as % of all completed tasks."""
-        total = sum(len(g.decisions) for g in self._groups.values())
+        total = sum(g.completed for g in self._groups.values())
         if total == 0:
             return 0.0
         inv = sum(g.inversion_count() for g in self._groups.values())

@@ -110,6 +110,11 @@ class Policy(abc.ABC):
         """Bind the policy to a scheduler (gives access to groups/issue)."""
         self._scheduler = scheduler
 
+    def detach(self) -> None:
+        """Unbind from a finished scheduler (whose policy points here),
+        so the finished run is freed without the cycle collector."""
+        self._scheduler = None
+
     @property
     def scheduler(self) -> "Scheduler":
         if self._scheduler is None:

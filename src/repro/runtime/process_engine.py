@@ -576,6 +576,8 @@ class ProcessPoolEngine(WallClockTicks, Engine):
             if not self.reuse_pool:
                 self._pool.shutdown(wait=True)
             self._pool = None
+        # As on the threaded engine: nothing calls back any more.
+        self.on_task_finished = self.stall_handler = self._tick_cb = None
         return self.trace, max(self.trace.makespan, self._now())
 
     # -- reporting ---------------------------------------------------------

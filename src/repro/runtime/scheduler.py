@@ -562,10 +562,10 @@ class Scheduler:
 
         The long-lived service path spawns one group per job; the
         policy's per-group state (LQH's per-worker histograms) would
-        otherwise grow with every job ever served.  The group's record,
-        decision log and trace segments stay: they are the final
-        :class:`RunReport`.  Spawning into a retired group again is
-        legal and starts its policy state afresh.
+        otherwise grow with every job ever served.  The group's record
+        and its per-epoch tallies stay: they are the final
+        :class:`RunReport`'s group summary.  Spawning into a retired
+        group again is legal and starts its policy state afresh.
         """
         if self.groups.get(label).outstanding:
             raise SchedulerError(
@@ -660,6 +660,13 @@ class Scheduler:
             tasks_total=self._spawned_total,
             dvfs_epochs=self.engine.accounting.dvfs_epochs,
         )
+        # The policy and the governor point back here, as did the
+        # engine's callbacks until its finish() dropped them: cut the
+        # cycles so reference counting frees the run (its tasks, their
+        # arguments, the trace) as soon as the caller lets go of it.
+        self.policy.detach()
+        if self.governor is not None:
+            self.governor.unbind()
         return self.report
 
     # ------------------------------------------------------------------

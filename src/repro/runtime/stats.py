@@ -66,7 +66,10 @@ class RunReport:
     dep_stats: DepStats
     #: Host wall-clock seconds spent inside task bodies (diagnostic).
     host_seconds: float = 0.0
-    #: Full trace; kept for Gantt rendering and DVFS replay.
+    #: The run's trace, kept for Gantt rendering and DVFS replay: every
+    #: segment for a batch run, the most recent
+    #: :data:`~repro.serve.rounds.TRACE_TAIL` for a long-lived service
+    #: (whose folded prefix survives only in the trace's totals).
     trace: ExecutionTrace | None = field(default=None, repr=False)
 
     # -- Figure 2 convenience ------------------------------------------

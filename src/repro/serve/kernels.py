@@ -60,7 +60,6 @@ from ..kernels.jacobi import (
 from ..kernels.kmeans import OPS_PER_DIM, KmeansProblem
 from ..kernels.sobel import (
     sobel_row_accurate,
-    sobel_row_approx,
     sobel_row_cost,
     sobel_row_significance,
     sobel_row_value,
@@ -200,13 +199,6 @@ def _int_arg(args: dict, key: str, default: int, lo: int, hi: int) -> int:
 # ----------------------------------------------------------------------
 # Sobel (approximate-task mode)
 # ----------------------------------------------------------------------
-# The value-returning row bodies moved next to the stencils in
-# repro.kernels.sobel (the compile tier specializes them there too);
-# the old private names stay importable.
-_sobel_row_value = sobel_row_value
-_sobel_row_value_approx = sobel_row_value_approx
-
-
 @register("servable", "sobel")
 class SobelServable(ServableKernel):
     """Row-parallel Sobel filtering of a synthetic image.

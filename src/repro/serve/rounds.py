@@ -35,7 +35,12 @@ from .jobs import STREAM_MIN_RATIO, JobReport, JobRequest, RoundResult
 from .kernels import ServableKernel
 from .tenants import TenantState
 
-__all__ = ["RoundsMixin"]
+__all__ = ["RoundsMixin", "TRACE_TAIL"]
+
+#: Trace segments a service keeps once their rounds are settled: the
+#: most recent task executions, which is what its chrome trace shows.
+#: Everything older survives only as the trace's partial sums.
+TRACE_TAIL = 4096
 
 
 @dataclass
@@ -103,6 +108,7 @@ class RoundsMixin:
         #: group label -> {"tenant": ..., "job": ..., "kernel": ...}
         #: (chrome-trace annotation material).
         self.job_meta: dict[str, dict] = {}
+        #: Trace position where the next settlement window starts.
         self._seg_cursor = 0
 
     # -- the group executor -------------------------------------------------
@@ -169,12 +175,12 @@ class RoundsMixin:
     def _window_busy(self) -> dict[tuple[str, Any], float]:
         """Per-(group, kind) busy seconds since the last window, and
         advance the window cursor."""
-        segments = self._sched.engine.accounting.trace.segments
+        trace = self._sched.engine.accounting.trace
         busy: dict[tuple[str, Any], float] = {}
-        for seg in segments[self._seg_cursor:]:
+        for seg in trace.since(self._seg_cursor):
             key = (seg.group, seg.kind)
             busy[key] = busy.get(key, 0.0) + seg.duration
-        self._seg_cursor = len(segments)
+        self._seg_cursor = trace.position
         return busy
 
     def _settle_groups(self, groups: list[_Group]) -> None:
@@ -184,7 +190,8 @@ class RoundsMixin:
         group's tenant, credits its report with the task counts and
         Joules, harvests the results onto the :class:`_Group`, folds
         the window into the tenants' energy models (one observation
-        per tenant and kind per window) and recycles the descriptors.
+        per tenant and kind per window), recycles the descriptors and
+        folds the trace down to its last :data:`TRACE_TAIL` segments.
         """
         busy = self._window_busy()
         per_tenant: dict[TenantState, list] = {}
@@ -273,15 +280,21 @@ class RoundsMixin:
                         prof_by_kernel[name]
                     )
 
-        # Results are harvested: recycle the window's descriptors and
-        # retire the labels (each is used once) so a long-lived service
-        # grows neither one Task nor one policy entry per executed job.
+        # Results are harvested: recycle the window's descriptors,
+        # retire the labels (each is used once) and fold the billed
+        # window out of the trace, so a long-lived service grows neither
+        # one Task, nor one policy entry, nor one trace segment per
+        # executed job.
         recycle = not self._sched.retains_tasks
         for group in groups:
             self._sched.retire_group(group.label)
             if recycle:
                 self._sched.release_tasks(group.tasks)
                 group.tasks = []
+        if self._sched.governor is None:
+            # (A run-level governor samples the trace from position 0
+            # at its first tick: a governed service keeps all of it.)
+            self._sched.engine.accounting.fold(keep=TRACE_TAIL)
 
     # -- batch rounds: the steps of flush() ---------------------------------
     def _pre_steer(self, batch: list[_Admitted], now: float) -> None:

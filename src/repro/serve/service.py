@@ -85,17 +85,22 @@ class TaskService(AdmissionMixin, RoundsMixin, ServiceBase):
     descriptors are recycled through the process
     :class:`~repro.runtime.task.TaskSlab` once a round settles (unless
     the config carries a service-level governor, whose cost priors
-    sample ``scheduler.tasks`` and therefore force retention).  The
-    shared scheduler still accumulates one task group and its trace
-    segments per *executed* job for the run's lifetime (that is what
-    makes the final :class:`~repro.runtime.stats.RunReport` and the
-    tagged Chrome trace possible).  That is memory only: no round and
-    no barrier does work proportional to the jobs already settled
-    (barriers visit the round's own groups, policies keep nothing for
-    a settled label).  A service therefore scales to campaigns of many
-    thousands of jobs, not to an unbounded daemon lifetime — recycle
-    the service (``close()`` + rebuild) between campaigns; the cheap
-    admission paths (cache hits, rejections) allocate nothing per job.
+    sample ``scheduler.tasks`` and therefore force retention).  A
+    settled group keeps per-epoch tallies, not per-task records, and
+    settlement folds the shared trace down to its last
+    :data:`~repro.serve.rounds.TRACE_TAIL` segments (a service-level
+    governor samples the whole trace, so a governed service keeps it
+    all).  What still accumulates per *executed* job is its task-group
+    record and ``job_meta`` entry — the final
+    :class:`~repro.runtime.stats.RunReport`'s group summaries and the
+    Chrome trace's tags — plus its spans, up to the recorder's ring.
+    No round and no barrier does work proportional to the jobs already
+    settled (barriers visit the round's own groups, policies keep
+    nothing for a settled label).  A service therefore scales to
+    campaigns of many thousands of jobs, not to an unbounded daemon
+    lifetime — recycle the service (``close()`` + rebuild) between
+    campaigns; the cheap admission paths (cache hits, rejections)
+    allocate nothing per job.
     """
 
     def __init__(
@@ -370,8 +375,12 @@ class TaskService(AdmissionMixin, RoundsMixin, ServiceBase):
 
     # -- trace export ------------------------------------------------------
     def write_trace(self, path: str | Path) -> Path:
-        """Chrome-trace export of the whole serve run, events tagged
-        with tenant/job/kernel ids (one timeline for the service).
+        """Chrome-trace export of the serve run, events tagged with
+        tenant/job/kernel ids (one timeline for the service).
+
+        Covers the service's most recent
+        :data:`~repro.serve.rounds.TRACE_TAIL` task executions: older
+        segments are folded into the trace's totals at settlement.
 
         Run-level metadata — the shared-memory data plane's byte
         accounting, when the engine has one — rides along under the

@@ -371,6 +371,11 @@ class SimulatedMachine:
             self.master_time = now
         return now
 
+    def detach(self) -> None:
+        """Drop the run's callbacks once it is drained: they point back
+        at the scheduler and governor that own this machine."""
+        self.on_task_finished = self.stall_handler = self._tick_cb = None
+
     # -- reporting -----------------------------------------------------------
     @property
     def makespan(self) -> float:

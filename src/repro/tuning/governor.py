@@ -219,6 +219,12 @@ class EnergyBudgetGovernor:
         self._scheduler = scheduler
         scheduler.engine.set_tick(self.interval, self.on_tick)
 
+    def unbind(self) -> None:
+        """Let go of a finished scheduler (its engine has already
+        dropped the tick), so the finished run is freed without the
+        cycle collector.  The control history stays readable."""
+        self._scheduler = None
+
     @property
     def scheduler(self) -> "Scheduler":
         if self._scheduler is None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels.base import Degree
 from repro.kernels.kmeans import (
     KmeansBenchmark,
     assign_chunk_accurate,
@@ -195,3 +196,25 @@ class TestKmeansBenchmark:
         iterations = rep.tasks_total / n_chunks
         assert iterations < MAX_ITERATIONS  # actually converged
         assert b.quality(ref, out).value < 5.0
+
+    @pytest.mark.parametrize("degree", list(Degree))
+    def test_significance_beats_perforation(self, degree):
+        """The paper's baseline (Fig. 2): at each Table 1 degree the
+        perforated run keeps the same share of chunks, all of them
+        accurate, and clusters worse than GTB choosing which chunks to
+        approximate (relative error, lower is better)."""
+        b = KmeansBenchmark(small=True)
+        prob = b.build_input(2015)
+        ref = b.run_reference(prob)
+        param = b.degree_param(degree)
+
+        rt = Scheduler(policy=gtb_max_buffer(), n_workers=4)
+        gtb = b.quality(ref, b.run_tasks(rt, prob, param)).value
+        rt.finish()
+
+        rt = Scheduler(n_workers=4)
+        perforated = b.quality(ref, b.run_perforated(rt, prob, param)).value
+        rep = rt.finish()
+        assert rep.accurate_tasks == rep.tasks_total > 0
+        assert rep.approximate_tasks == rep.dropped_tasks == 0
+        assert gtb < perforated

@@ -1,6 +1,8 @@
 """Unit tests for task groups and the Table 2 statistics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.errors import GroupError, RatioError
 from repro.runtime.groups import GLOBAL_GROUP, GroupRecord, GroupRegistry
@@ -184,3 +186,122 @@ class TestGroupRegistry:
         record(g2, 0.5, A)
         record(g2, 0.5, A)  # 0 over 2
         assert reg.total_inversion_pct() == pytest.approx(25.0)
+
+
+# ----------------------------------------------------------------------
+# The tallies against a brute-force recomputation from the raw decisions
+# ----------------------------------------------------------------------
+class _Log:
+    """What the statistics are defined over: every decision, and the
+    requested ratio in force at each barrier that closed a non-empty
+    epoch."""
+
+    def __init__(self, ratio):
+        self.ratio = ratio
+        self.decisions = []  # (significance, kind)
+        self.marks = []  # (decision count, ratio)
+
+    def epochs(self):
+        marks = list(self.marks)
+        if not marks or marks[-1][0] != len(self.decisions):
+            marks.append((len(self.decisions), self.ratio))
+        start, out = 0, []
+        for mark, ratio in marks:
+            if mark > start:
+                out.append((self.decisions[start:mark], ratio))
+            start = mark
+        return out
+
+    def count(self, kind):
+        return sum(1 for _, k in self.decisions if k is kind)
+
+    def ratio_offset(self, requested=None):
+        offsets = [
+            abs(
+                (ratio if requested is None else requested)
+                - sum(1 for _, k in sl if k is A) / len(sl)
+            )
+            for sl, ratio in self.epochs()
+        ]
+        return sum(offsets) / len(offsets) if offsets else 0.0
+
+    def inversions(self):
+        total = 0
+        for sl, _ in self.epochs():
+            accurate = [sig for sig, k in sl if k is A]
+            if accurate:
+                total += sum(
+                    1 for sig, k in sl if k is not A and sig > min(accurate)
+                )
+        return total
+
+
+_significances = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_ratios = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"),
+            st.sampled_from("ab"),
+            _significances,
+            st.sampled_from([A, X, D]),
+        ),
+        st.tuples(st.just("epoch"), st.sampled_from("ab")),
+        st.tuples(st.just("ratio"), st.sampled_from("ab"), _ratios),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ops, _ratios)
+def test_tallies_equal_brute_force(ops, requested):
+    reg = GroupRegistry()
+    logs = {name: _Log(reg.get(name).ratio) for name in "ab"}
+    for op, name, *arg in ops:
+        group, log = reg.get(name), logs[name]
+        if op == "record":
+            sig, kind = arg
+            record(group, sig, kind)
+            log.decisions.append((sig, kind))
+        elif op == "epoch":
+            group.new_epoch()
+            if len(log.decisions) > (log.marks[-1][0] if log.marks else 0):
+                log.marks.append((len(log.decisions), log.ratio))
+        else:
+            group.set_ratio(arg[0])
+            log.ratio = arg[0]
+
+    for name, log in logs.items():
+        g = reg.get(name)
+        n = len(log.decisions)
+        assert g.completed == n
+        assert g.accurate_count == log.count(A)
+        assert g.approx_count == log.count(X)
+        assert g.dropped_count == log.count(D)
+        assert g.achieved_ratio == (log.count(A) / n if n else 1.0)
+        assert g.epoch == len(log.marks)
+        assert [(t.tasks, t.ratio) for t in g.epoch_tallies()] == [
+            (len(sl), ratio) for sl, ratio in log.epochs()
+        ]
+        assert g.ratio_offset() == log.ratio_offset()
+        assert g.ratio_offset(requested=requested) == log.ratio_offset(
+            requested
+        )
+        assert g.inversion_count() == log.inversions()
+        assert g.inversion_pct() == (
+            100.0 * log.inversions() / n if n else 0.0
+        )
+
+    used = [log for log in logs.values() if log.decisions]
+    assert reg.mean_ratio_offset() == (
+        sum(log.ratio_offset() for log in used) / len(used) if used else 0.0
+    )
+    total = sum(len(log.decisions) for log in logs.values())
+    inversions = sum(log.inversions() for log in logs.values())
+    assert reg.total_inversion_pct() == (
+        100.0 * inversions / total if total else 0.0
+    )

@@ -3,14 +3,17 @@ many jobs the service has already settled.
 
 Structural checks on the simulated engine (no clocks): barriers visit
 only the groups spawned since the previous barrier, barriers that close
-nothing store nothing, policies keep nothing for a settled label — and
+nothing store nothing, policies keep nothing for a settled label, the
+trace keeps a fixed tail and a job's retained bytes are bounded — and
 none of it moves a number in the final ``RunReport`` or in any job
 report (``golden/aging_mixed_stream.json``, dumped at the commit before
 barriers became age-independent).
 """
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,8 @@ from repro.kernels.fluidanimate import FluidanimateBenchmark
 from repro.kernels.jacobi import APPROX_ITERATIONS, JacobiBenchmark
 from repro.runtime.scheduler import Scheduler
 from repro.serve import JobRequest, TaskService
+from repro.serve import rounds
+from repro.serve.rounds import TRACE_TAIL
 
 GOLDEN = Path(__file__).parent / "golden" / "aging_mixed_stream.json"
 
@@ -75,21 +80,96 @@ class TestBarriersDoNotAge:
         # (a) one stored mark per non-empty barrier slice: each job's
         # group saw 150 global barriers and stored exactly its own.
         assert [g.epoch for g in groups] == [1] * self.JOBS
-        assert [len(g._epoch_slices()) for g in groups] == [1] * self.JOBS
+        assert [len(g.epoch_tallies()) for g in groups] == [1] * self.JOBS
         report = service.close()
         assert [g.epoch for g in groups] == [1] * self.JOBS
         assert len(report.groups) == self.JOBS
         assert report.tasks_total == 6 * self.JOBS
 
 
+def _mc_job(seed: int) -> JobRequest:
+    """A distinct 16-task job (no cache hit, no coalescing)."""
+    return JobRequest(
+        tenant="t",
+        kernel="mc-pi",
+        args={"blocks": 16, "samples": 16, "seed": seed},
+        ratio=0.5,
+        job_id=f"j{seed}",
+    )
+
+
+def _serve(jobs: int, per_round: int = 4, on_round=None) -> TaskService:
+    service = TaskService(
+        RuntimeConfig(policy="gtb-max", n_workers=4),
+        tenants=("standard:name='t'",),
+        compute_quality=False,
+    )
+    for first in range(0, jobs, per_round):
+        if on_round is not None:
+            on_round(first)
+        for seed in range(first, first + per_round):
+            service.submit(_mc_job(seed))
+        service.flush()
+    return service
+
+
+class TestRetentionIsBounded:
+    """A settled job leaves per-epoch tallies, not per-task records,
+    and the service trace keeps only its last ``TRACE_TAIL`` segments."""
+
+    JOBS, MARK = 2000, 500
+
+    def test_retained_bytes_per_job(self):
+        marks = []
+
+        def on_round(first):
+            if first == self.MARK:
+                gc.collect()
+                tracemalloc.start()
+                marks.append(tracemalloc.get_traced_memory()[0])
+
+        try:
+            service = _serve(self.JOBS, on_round=on_round)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - marks[0]
+        finally:
+            tracemalloc.stop()
+        trace = service.scheduler.engine.accounting.trace
+        completed = sum(g.completed for g in service.scheduler.groups)
+        assert len(trace.segments) <= TRACE_TAIL
+        assert trace.position == completed == 16 * self.JOBS
+        # Per-task decision records and segments alone came to ~5.5 kB
+        # per job of this stream.
+        assert grown / (self.JOBS - self.MARK) < 3000
+
+    def test_folding_moves_no_reported_number(self, monkeypatch):
+        folded = _serve(300)
+        assert folded.scheduler.engine.accounting.trace.base > 0
+        monkeypatch.setattr(rounds, "TRACE_TAIL", 10**9)
+        whole = _serve(300)
+        assert whole.scheduler.engine.accounting.trace.base == 0
+        a, b = folded.close(), whole.close()
+        assert a.tasks_by_kind == b.tasks_by_kind
+        assert a.groups == b.groups
+        # Bit-identical where sum() adds in order (CPython <= 3.11);
+        # later interpreters compensate within each sum() call.
+        assert a.makespan_s == b.makespan_s
+        assert dataclasses.asdict(a.energy) == pytest.approx(
+            dataclasses.asdict(b.energy), rel=1e-12
+        )
+        assert a.trace.busy_by_worker() == pytest.approx(
+            b.trace.busy_by_worker(), rel=1e-12
+        )
+
+
 class TestPaperPhasesUnchanged:
     """Per-phase statistics of the two phase-structured kernels: one
-    slice per sweep/timestep at the ratio that phase requested."""
+    epoch per sweep/timestep at the ratio that phase requested."""
 
     @staticmethod
     def _slices(rt, label):
         group = rt.groups.get(label, create=False)
-        return [(len(sl), ratio) for sl, ratio in group._epoch_slices()]
+        return [(t.tasks, t.ratio) for t in group.epoch_tallies()]
 
     @pytest.mark.parametrize("policy", ["gtb:buffer_size=4", "lqh"])
     def test_jacobi_epoch_slices(self, policy):
